@@ -70,9 +70,10 @@ class Cache(ABC):
 
     #: True only for policies whose resident set never changes, where
     #: ``access(key)`` is equivalent to membership in that fixed set and
-    #: touches nothing but the hit/miss counters.  The batched event
-    #: kernel relies on this contract to pre-resolve hit/miss decisions
-    #: for a whole run in one vectorized pass.
+    #: touches nothing but the hit/miss counters.  A shortcut hint, not
+    #: a gate: the batched event kernel resolves such a (flat) cache
+    #: with one vectorized membership test, and every other cache with
+    #: one sequential ``access`` pass over the key stream.
     STATIC_RESIDENCY: bool = False
 
     def __init__(self, capacity: int) -> None:

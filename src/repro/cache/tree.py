@@ -22,10 +22,12 @@ A **degenerate** tree (one layer, one shard) performs exactly one
 metrics export to the shard — bit-identical to running the shard cache
 flat, which ``tests/test_tree_differential.py`` pins.
 
-Trees never take the batched fast path: residency moves *between*
-layers on every miss, so the kernel's static-residency precomputation
-would only see the edge layer.  :func:`repro.sim.kernel.supports`
-rejects any cache with ``HIERARCHICAL = True``.
+On the batched fast kernel a tree goes through the sequential cache
+pass (one ``access`` per request, in arrival order), which reads
+:attr:`CacheTree.last_hit` to attribute each hit to its (layer, shard)
+exactly as the legacy event loop does.  ``HIERARCHICAL = True`` keeps
+even a tree of statically resident shards off the kernel's vectorized
+membership test, which would skip the per-layer probe accounting.
 """
 
 from __future__ import annotations
@@ -138,10 +140,10 @@ class CacheTree(Cache):
 
     POLICY = "tree"
 
-    #: Residency moves between layers per access; the batched kernel's
-    #: single-resident-set precomputation cannot express that, so
-    #: :func:`repro.sim.kernel.supports` must reject trees even when
-    #: every shard is itself statically resident.
+    #: A shortcut hint, not a gate: every access moves per-layer probe
+    #: counters and hits carry a (layer, shard) path, so the batched
+    #: kernel resolves trees through its sequential cache pass even
+    #: when every shard is statically resident.
     HIERARCHICAL = True
 
     def __init__(
@@ -223,9 +225,9 @@ class CacheTree(Cache):
         """True iff every shard is statically resident.
 
         A tree of perfect caches is *per-shard* static, which is exactly
-        the trap the ``HIERARCHICAL`` kernel gate exists for: the fast
-        kernel would precompute hit/miss against the union resident set
-        and miss the per-layer probe accounting entirely.
+        why the kernel also checks ``HIERARCHICAL``: a vectorized test
+        against the union resident set would miss the per-layer probe
+        accounting entirely, so trees take the sequential pass.
         """
         return all(
             getattr(shard, "STATIC_RESIDENCY", False)

@@ -195,11 +195,12 @@ class EventDrivenSimulator:
         through the binary-heap scheduler; ``"fast"`` routes runs
         through the batched struct-of-arrays kernel
         (:mod:`repro.sim.kernel`) whenever the configuration allows it
-        — static cache residency, pin/random routing, no chaos — and
-        falls back to the legacy loop otherwise.  Both engines are
-        bit-identical in results, metrics, monitor telemetry and RNG
-        consumption; :attr:`last_engine` records which path the most
-        recent :meth:`run` actually took.
+        — pin/random routing and no chaos, with any cache policy or
+        cache tree — and falls back to the legacy loop otherwise
+        (least-outstanding routing, chaos).  Both engines are
+        bit-identical in results, metrics, monitor telemetry, trace
+        records and RNG consumption; :attr:`last_engine` records which
+        path the most recent :meth:`run` actually took.
     """
 
     def __init__(

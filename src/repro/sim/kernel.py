@@ -2,13 +2,18 @@
 
 The legacy scheduler pays interpreter overhead per event: one closure
 allocation and one heap operation per arrival and per completion, plus a
-Python cache lookup and routing call per request.  For the common
-measurement configuration — a static front-end cache, stateless-enough
-routing and no fault injection — every one of those decisions is known
+Python cache lookup and routing call per request.  Under pin or random
+routing and no fault injection every one of those decisions is known
 before the first event fires, so this kernel resolves them in bulk:
 
-- **hit/miss** — one vectorized membership test of the sampled key
-  stream against the cache's fixed resident set;
+- **hit/miss** — ``Cache.access(key)`` never reads simulated time and
+  arrivals reach the cache in key-stream order, so hit/miss for *any*
+  policy is fixed by the key sequence alone.  A flat statically-resident
+  cache is resolved by one vectorized membership test against its fixed
+  resident set; every other cache (the stateful replacement policies,
+  admission filters, cache trees) by one sequential ``access`` pass over
+  the keys in arrival order, which leaves the cache in exactly the state
+  the legacy event loop leaves it in;
 - **routing** — replica groups gathered per unique key, pin assignments
   resolved in first-appearance order (mutating the simulator's sticky
   pin state exactly like the legacy path), random picks drawn as one
@@ -25,14 +30,16 @@ as :class:`~repro.sim.queueing.NodeServer` is what keeps the kernel
 **bit-identical** to the legacy engine — the vectorized closed form
 (``np.maximum.accumulate``) is algebraically equal but not IEEE-754
 identical.  Identity holds for results, metrics exports, monitor
-telemetry and RNG stream consumption; ``tests/test_kernel_differential.py``
-pins it per configuration and the golden eventsim fixture pins it
-against history.
+telemetry, trace records and RNG stream consumption (randomized
+policies draw from their own generator, in the same access order);
+``tests/test_kernel_differential.py`` and
+``tests/test_tree_differential.py`` pin it per configuration and the
+golden eventsim fixture pins it against history.
 
 Configurations the batch transform cannot express fall back to the
-legacy scheduler (see :func:`supports`): caches whose residency mutates
-per access (LRU family), least-outstanding routing (depends on live
-queue depths), and chaos schedules (node state changes mid-run).
+legacy scheduler (see :func:`supports`): least-outstanding routing
+(depends on live queue depths) and chaos schedules (node state changes
+mid-run).
 """
 
 from __future__ import annotations
@@ -51,23 +58,12 @@ __all__ = ["supports", "run_fast"]
 def supports(sim) -> bool:
     """Whether the batched kernel can replay ``sim`` exactly.
 
-    Requires a statically-resident cache (hit/miss precomputable), pin
-    or random routing (resolvable without live queue state) and no
-    chaos schedule (no mid-run node state changes).
-
-    Hierarchical caches are rejected outright, *before* the residency
-    check: a :class:`~repro.cache.tree.CacheTree` of perfect caches
-    reports ``STATIC_RESIDENCY`` per shard, but residency migrates
-    between layers on every miss and hits must be attributed to a
-    (layer, shard) pair — the single-resident-set precomputation would
-    silently honor only the edge layer.
+    Requires pin or random routing (resolvable without live queue
+    state) and no chaos schedule (no mid-run node state changes).  Any
+    cache qualifies: :func:`_resolve_hits` picks how its hits are
+    resolved.
     """
-    return (
-        sim._chaos is None
-        and sim._routing in ("pin", "random")
-        and not getattr(sim._cache, "HIERARCHICAL", False)
-        and getattr(sim._cache, "STATIC_RESIDENCY", False)
-    )
+    return sim._chaos is None and sim._routing in ("pin", "random")
 
 
 def _static_hits(cache, keys: np.ndarray) -> np.ndarray:
@@ -76,6 +72,40 @@ def _static_hits(cache, keys: np.ndarray) -> np.ndarray:
         return np.zeros(keys.shape, dtype=bool)
     resident = np.fromiter(cache.keys(), dtype=np.int64)
     return np.isin(keys, resident)
+
+
+def _resolve_hits(
+    cache, keys: np.ndarray, layered: bool
+) -> Tuple[np.ndarray, Optional[List[Optional[Tuple[int, int]]]]]:
+    """Hit mask of the key stream, and each request's tree path if layered.
+
+    A flat cache with ``STATIC_RESIDENCY`` takes the vectorized
+    membership test and has its counters bumped here, as its
+    ``access`` would have.  Every other cache — trees included, even a
+    tree of static shards, whose probes still move per-layer counters
+    — gets one ``access`` per key in arrival order, the exact call
+    sequence of the legacy event loop; ``access`` keeps
+    :class:`~repro.cache.base.CacheStats` itself.  For a layered tree
+    the second value holds ``cache.last_hit`` per request (``None`` on
+    a miss); otherwise it is ``None``.
+    """
+    if getattr(cache, "STATIC_RESIDENCY", False) and not getattr(
+        cache, "HIERARCHICAL", False
+    ):
+        hit_mask = _static_hits(cache, keys)
+        hits = int(hit_mask.sum())
+        cache.stats.hits += hits
+        cache.stats.misses += keys.size - hits
+        return hit_mask, None
+    access = cache.access
+    if not layered:
+        return np.array([access(key) for key in keys.tolist()], dtype=bool), None
+    hits: List[bool] = []
+    paths: List[Optional[Tuple[int, int]]] = []
+    for key in keys.tolist():
+        hits.append(access(key))
+        paths.append(cache.last_hit)
+    return np.array(hits, dtype=bool), paths
 
 
 def _route_batch(
@@ -199,9 +229,17 @@ def run_fast(sim, n_queries: int, trial: int):
         times = np.cumsum(gaps)
         duration = float(times[-1])
 
+    # A non-degenerate cache tree attributes each hit to the (layer,
+    # shard) that served it; a degenerate tree declares no layers, so
+    # its telemetry stays byte-identical to the flat cache it wraps.
+    cache = sim._cache
+    layered = getattr(cache, "HIERARCHICAL", False) and not cache.degenerate
     monitor = sim._monitor
     if monitor is not None:
-        monitor.begin_run(trial=trial, n=n, rate=params.rate, chaos=False)
+        monitor.begin_run(
+            trial=trial, n=n, rate=params.rate, chaos=False,
+            layers=cache.widths if layered else None,
+        )
     # Trace sampling is keyed-hash based: no RNG draws, so the arrival /
     # routing / service streams above stay byte-identical with it on.
     recorder = sim._trace
@@ -215,13 +253,11 @@ def run_fast(sim, n_queries: int, trial: int):
         trace_mask = recorder.sample_mask(keys)
 
     with tracer.span("event-loop"):
-        with tracer.span("kernel-resolve"):
-            hit_mask = _static_hits(sim._cache, keys)
+        with tracer.span("kernel-cache"):
+            hit_mask, paths = _resolve_hits(cache, keys, layered)
             frontend_hits = int(hit_mask.sum())
             backend = n_queries - frontend_hits
-            stats = sim._cache.stats
-            stats.hits += frontend_hits
-            stats.misses += backend
+        with tracer.span("kernel-resolve"):
             if backend:
                 miss_mask = ~hit_mask
                 nodes = _route_batch(sim, keys[miss_mask], routing_gen)
@@ -235,13 +271,22 @@ def run_fast(sim, n_queries: int, trial: int):
             with tracer.span("kernel-monitor"):
                 node_iter = iter(nodes.tolist())
                 record = monitor.record_request
-                for t, key, hit in zip(
-                    times.tolist(), keys.tolist(), hit_mask.tolist()
-                ):
-                    if hit:
-                        record(t, key)
-                    else:
-                        record(t, key, next(node_iter))
+                if paths is None:
+                    for t, key, hit in zip(
+                        times.tolist(), keys.tolist(), hit_mask.tolist()
+                    ):
+                        if hit:
+                            record(t, key)
+                        else:
+                            record(t, key, next(node_iter))
+                else:
+                    for t, key, path in zip(
+                        times.tolist(), keys.tolist(), paths
+                    ):
+                        if path is None:
+                            record(t, key, next(node_iter))
+                        else:
+                            record(t, key, layer=path[0], shard=path[1])
         with tracer.span("kernel-queues"):
             served = np.zeros(n, dtype=np.int64)
             dropped = np.zeros(n, dtype=np.int64)
@@ -293,7 +338,10 @@ def run_fast(sim, n_queries: int, trial: int):
                     t = float(times[i])
                     key = int(keys[i])
                     if hit_mask[i]:
-                        recorder.record_hit(t, key, i)
+                        layer, shard = (
+                            (None, None) if paths is None else paths[i]
+                        )
+                        recorder.record_hit(t, key, i, layer=layer, shard=shard)
                         continue
                     pos = int(miss_index[i])
                     node = int(nodes[pos])

@@ -2,13 +2,14 @@
 
 The batched kernel (:mod:`repro.sim.kernel`) promises *bit-identical*
 ``EventSimResult`` objects — same floats, same arrays, same RNG stream
-consumption — plus identical metrics exports and monitor telemetry, for
-every configuration.  Configurations the batch transform cannot express
-(LRU-family caches, least-outstanding routing, chaos schedules) must
-fall back to the legacy loop, which makes them trivially identical; the
-tests below also pin *which* path ran via ``sim.last_engine``, so the
-fast-path cases cannot silently degrade into vacuous fallback-vs-legacy
-comparisons.
+consumption — plus identical metrics exports, monitor telemetry and
+final cache state, for every configuration.  Every registered cache
+policy runs on the kernel (static caches through the vectorized
+membership test, the rest through the sequential cache pass); only
+least-outstanding routing and chaos schedules fall back to the legacy
+loop, which makes them trivially identical.  The tests below also pin
+*which* path ran via ``sim.last_engine``, so the fast-path cases cannot
+silently degrade into vacuous fallback-vs-legacy comparisons.
 """
 
 import numpy as np
@@ -16,16 +17,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import FrequencyAdmissionCache, make_cache
 from repro.cache.lru import LRUCache
 from repro.chaos.config import ChaosConfig
 from repro.core.notation import SystemParameters
 from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig
 from repro.obs.export import export_json
+from repro.scenario.registry import REGISTRY
 from repro.sim import kernel
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
 from repro.workload.zipf import ZipfDistribution
+
+
+#: Every registered flat cache policy; ``tinylfu`` is the admission
+#: filter around an LRU (trees have their own suite).
+POLICIES = (
+    "2q", "arc", "clock", "fifo", "lfu", "lfu-aging", "lru", "perfect",
+    "random", "sieve", "slru", "tinylfu",
+)
+
+
+def _cache(policy, capacity):
+    if policy == "tinylfu":
+        return FrequencyAdmissionCache(LRUCache(capacity))
+    return make_cache(policy, capacity)
 
 
 def _params(**overrides):
@@ -81,6 +98,21 @@ class TestFastPathIdentity:
             lambda: AdversarialDistribution(500, 11), "fast",
             routing=routing, service=service,
         )
+
+    def test_lru_cache_fast_identity(self):
+        legacy = EventDrivenSimulator(
+            _params(), AdversarialDistribution(500, 100),
+            cache=LRUCache(10), seed=9,
+        )
+        fast = EventDrivenSimulator(
+            _params(), AdversarialDistribution(500, 100),
+            cache=LRUCache(10), seed=9, engine="fast",
+        )
+        a, b = legacy.run(3000), fast.run(3000)
+        assert fast.last_engine == "fast"
+        assert_results_identical(a, b)
+        assert legacy.cache.stats == fast.cache.stats
+        assert list(legacy.cache.keys()) == list(fast.cache.keys())
 
     def test_zipf_workload(self):
         _pair(lambda: ZipfDistribution(500, 1.01), "fast")
@@ -150,6 +182,58 @@ class TestFastPathIdentity:
         assert export_a == export_b
 
 
+class TestCachePolicyIdentity:
+    """Every cache policy: fast == legacy in every observable."""
+
+    def test_grid_covers_every_registered_policy(self):
+        names = {entry.name for entry in REGISTRY.entries("cache")}
+        assert names - {"tree"} == set(POLICIES)
+
+    @staticmethod
+    def _run(engine, policy, capacity, routing, service):
+        params = _params()
+        registry = MetricsRegistry()
+        monitor = LoadMonitor(
+            MonitorConfig.from_params(params, x=11, window=0.05)
+        )
+        sim = EventDrivenSimulator(
+            params, ZipfDistribution(500, 1.01),
+            cache=_cache(policy, capacity), seed=21, routing=routing,
+            service=service, metrics=registry, monitor=monitor,
+            engine=engine,
+        )
+        results = [sim.run(2000, trial=trial) for trial in (0, 1)]
+        return sim, results, registry, monitor
+
+    def _assert_identical(self, policy, capacity, routing, service):
+        legacy, results_a, registry_a, mon_a = self._run(
+            "legacy", policy, capacity, routing, service
+        )
+        fast, results_b, registry_b, mon_b = self._run(
+            "fast", policy, capacity, routing, service
+        )
+        assert fast.last_engine == "fast"
+        for a, b in zip(results_a, results_b):
+            assert_results_identical(a, b)
+        assert legacy.cache.stats == fast.cache.stats
+        assert sorted(legacy.cache.keys()) == sorted(fast.cache.keys())
+        assert export_json(metrics=registry_a) == export_json(metrics=registry_b)
+        assert mon_a.windows == mon_b.windows
+        assert mon_a.alerts == mon_b.alerts
+        assert mon_a.summaries == mon_b.summaries
+
+    @pytest.mark.parametrize("service", ["deterministic", "exponential"])
+    @pytest.mark.parametrize("routing", ["pin", "random"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_policy_grid(self, policy, routing, service):
+        self._assert_identical(policy, 10, routing, service)
+
+    @pytest.mark.parametrize("routing", ["pin", "random"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_zero_capacity(self, policy, routing):
+        self._assert_identical(policy, 0, routing, "deterministic")
+
+
 class TestFallbackIdentity:
     """Configurations that must take the legacy path under engine="fast"."""
 
@@ -158,19 +242,6 @@ class TestFallbackIdentity:
             lambda: AdversarialDistribution(500, 11), "legacy",
             routing="least-outstanding",
         )
-
-    def test_lru_cache_falls_back(self):
-        legacy = EventDrivenSimulator(
-            _params(), AdversarialDistribution(500, 100),
-            cache=LRUCache(10), seed=9,
-        )
-        fast = EventDrivenSimulator(
-            _params(), AdversarialDistribution(500, 100),
-            cache=LRUCache(10), seed=9, engine="fast",
-        )
-        a, b = legacy.run(3000), fast.run(3000)
-        assert fast.last_engine == "legacy"
-        assert_results_identical(a, b)
 
     def test_chaos_falls_back(self):
         def run(engine):
@@ -190,15 +261,15 @@ class TestFallbackIdentity:
     def test_supports_gate(self):
         sim = EventDrivenSimulator(_params(), UniformDistribution(500), seed=1)
         assert kernel.supports(sim)
-        assert not kernel.supports(
+        assert kernel.supports(
             EventDrivenSimulator(
-                _params(), UniformDistribution(500),
-                routing="least-outstanding", seed=1,
+                _params(), UniformDistribution(500), cache=LRUCache(10), seed=1
             )
         )
         assert not kernel.supports(
             EventDrivenSimulator(
-                _params(), UniformDistribution(500), cache=LRUCache(10), seed=1
+                _params(), UniformDistribution(500),
+                routing="least-outstanding", seed=1,
             )
         )
         assert not kernel.supports(
@@ -216,14 +287,15 @@ def _configs(draw):
     c = draw(st.integers(min_value=0, max_value=min(m, 50)))
     d = draw(st.integers(min_value=1, max_value=min(4, n)))
     x = draw(st.integers(min_value=1, max_value=m))
+    policy = draw(st.sampled_from(("default",) + POLICIES))
     routing = draw(st.sampled_from(["pin", "random"]))
     service = draw(st.sampled_from(["deterministic", "exponential"]))
     queue_limit = draw(st.integers(min_value=0, max_value=16))
     headroom = draw(st.floats(min_value=0.5, max_value=6.0))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     n_queries = draw(st.integers(min_value=1, max_value=1500))
-    return (n, m, c, d, x, routing, service, queue_limit, headroom, seed,
-            n_queries)
+    return (n, m, c, d, x, policy, routing, service, queue_limit, headroom,
+            seed, n_queries)
 
 
 @pytest.mark.slow
@@ -231,21 +303,28 @@ class TestHypothesisDifferential:
     @given(_configs())
     @settings(max_examples=40, deadline=None)
     def test_random_configurations(self, config):
-        (n, m, c, d, x, routing, service, queue_limit, headroom, seed,
-         n_queries) = config
+        (n, m, c, d, x, policy, routing, service, queue_limit, headroom,
+         seed, n_queries) = config
         params = SystemParameters(n=n, m=m, c=c, d=d, rate=1000.0)
         kwargs = dict(
             routing=routing, service=service, queue_limit=queue_limit,
             node_capacity=headroom * params.even_split, seed=seed,
         )
+
+        def cache():
+            # "default" leaves the simulator's perfect top-c cache.
+            return None if policy == "default" else _cache(policy, c)
+
         legacy = EventDrivenSimulator(
-            params, AdversarialDistribution(m, x), **kwargs
+            params, AdversarialDistribution(m, x), cache=cache(), **kwargs
         )
         fast = EventDrivenSimulator(
-            params, AdversarialDistribution(m, x), engine="fast", **kwargs
+            params, AdversarialDistribution(m, x), cache=cache(),
+            engine="fast", **kwargs
         )
         for trial in (0, 1):
             a = legacy.run(n_queries, trial=trial)
             b = fast.run(n_queries, trial=trial)
             assert fast.last_engine == "fast"
             assert_results_identical(a, b)
+        assert legacy.cache.stats == fast.cache.stats

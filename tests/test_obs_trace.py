@@ -28,6 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import CacheTree, LRUCache
+from repro.cluster.hierarchy import LayeredPartitioner
 from repro.core.notation import SystemParameters
 from repro.exceptions import ScenarioValidationError
 from repro.obs import recompute
@@ -130,6 +132,38 @@ class TestEngineEquality:
         assert recorders["legacy"].records == recorders["fast"].records
         assert recorders["legacy"].suspects() == recorders["fast"].suspects()
         assert recorders["legacy"].alerts == recorders["fast"].alerts
+
+    @pytest.mark.parametrize("cache", ["lru", "tree"])
+    def test_sequential_pass_exports_identical(self, cache, tmp_path):
+        """Stateful caches and layered trees trace byte-identically."""
+
+        def make_cache():
+            if cache == "lru":
+                return LRUCache(PARAMS.c)
+            return CacheTree(
+                [[LRUCache(PARAMS.c) for _ in range(2)], [LRUCache(PARAMS.c)]],
+                partitioner=LayeredPartitioner((2, 1), seed=3),
+            )
+
+        dist = ZipfDistribution(PARAMS.m, 1.2)
+        exports, recorders = {}, {}
+        for engine in ("legacy", "fast"):
+            recorder = FlightRecorder(TraceConfig(sample=0.5), seed=8)
+            sim = EventDrivenSimulator(
+                PARAMS, dist, cache=make_cache(), seed=8, engine=engine,
+                service="exponential", trace=recorder,
+            )
+            for trial in range(2):
+                sim.run(2000, trial=trial)
+            assert sim.last_engine == engine
+            exports[engine] = recorder.write(
+                tmp_path / f"{engine}.jsonl"
+            ).read_bytes()
+            recorders[engine] = recorder
+        assert exports["legacy"] == exports["fast"]
+        assert recorders["legacy"].suspects() == recorders["fast"].suspects()
+        if cache == "tree":
+            assert any("layer" in rec for rec in recorders["fast"].records)
 
     def test_multi_trial_summaries_match(self):
         dist = ZipfDistribution(PARAMS.m, 1.2)

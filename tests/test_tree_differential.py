@@ -1,4 +1,4 @@
-"""Differential suite: the degenerate cache tree must equal the flat path.
+"""Differential suite: cache trees on the fast kernel and the flat path.
 
 A one-layer, one-shard :class:`~repro.cache.tree.CacheTree` wraps a
 single cache instance; it promises to be a *bit-identical* stand-in for
@@ -8,11 +8,13 @@ telemetry — across the routing x cache-policy grid the kernel
 differential suite uses.  That contract is what lets tree scenarios
 reuse every flat-path golden and bound without a tolerance.
 
-The suite also pins the fallback seam ISSUE 9 calls out: a tree of
-perfect caches is per-shard statically resident, and the batched kernel
-would happily precompute hit/miss against the edge layer's resident set
-alone — :func:`repro.sim.kernel.supports` must reject ``HIERARCHICAL``
-caches *before* it looks at ``STATIC_RESIDENCY``.
+Every tree runs on the batched kernel through its sequential cache
+pass, and must match the legacy scheduler exactly, including the
+per-layer monitor telemetry and traced ``layer``/``shard`` hit paths.
+The suite also pins the branch choice: a tree of perfect caches is
+per-shard statically resident, and the kernel's vectorized membership
+test would honor only one resident set and skip the per-layer probe
+accounting — such a tree must take the sequential pass instead.
 """
 
 import functools
@@ -28,14 +30,14 @@ from repro.cluster.hierarchy import (
 from repro.core.notation import SystemParameters
 from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig
 from repro.obs.export import export_json
+from repro.obs.trace import FlightRecorder, TraceConfig
 from repro.sim import kernel
 from repro.sim.batch import run_event_campaign
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
-#: The cache-policy grid: every simple registry policy exercised by the
-#: kernel fallback tests, spanning recency, frequency and adaptive
-#: families (perfect is covered separately by the supports-gate tests).
+#: The cache-policy grid, spanning recency, frequency and adaptive
+#: families (perfect shards are covered by :class:`TestSupportsGate`).
 POLICIES = ("lru", "fifo", "clock", "lfu", "arc", "sieve")
 
 ROUTINGS = ("pin", "random")
@@ -111,7 +113,7 @@ class TestDegenerateIdentity:
                 flat.run(3000, trial=trial), tree.run(3000, trial=trial)
             )
 
-    def test_fast_engine_falls_back_and_matches(self):
+    def test_fast_engine_matches(self):
         flat = EventDrivenSimulator(
             _params(), AdversarialDistribution(500, 100),
             cache=_flat_cache("lru"), seed=9,
@@ -121,7 +123,7 @@ class TestDegenerateIdentity:
             cache=_degenerate_tree("lru"), seed=9, engine="fast",
         )
         a, b = flat.run(3000), tree.run(3000)
-        assert tree.last_engine == "legacy"
+        assert tree.last_engine == "fast"
         assert_results_identical(a, b)
 
     def test_monitor_telemetry_identical(self):
@@ -239,10 +241,79 @@ class TestCampaignIdentity:
         )
 
 
-class TestSupportsGate:
-    """ISSUE 9's latent seam: HIERARCHICAL must veto STATIC_RESIDENCY."""
+def _observed_run(cache, engine, seed=7, n_queries=4000):
+    """One monitored, traced, metered run; returns every observable."""
+    params = _params()
+    monitor = LoadMonitor(MonitorConfig.from_params(params, x=11, window=0.05))
+    recorder = FlightRecorder(TraceConfig(sample=0.5), seed=seed)
+    registry = MetricsRegistry()
+    sim = EventDrivenSimulator(
+        params, AdversarialDistribution(500, 11), cache=cache, seed=seed,
+        monitor=monitor, trace=recorder, metrics=registry, engine=engine,
+    )
+    results = [sim.run(n_queries, trial=trial) for trial in (0, 1)]
+    return sim, results, monitor, recorder, export_json(metrics=registry)
 
-    def test_perfect_tree_is_static_but_unsupported(self):
+
+def _assert_observed_identical(legacy, fast):
+    sim_a, results_a, mon_a, rec_a, export_a = legacy
+    sim_b, results_b, mon_b, rec_b, export_b = fast
+    assert sim_b.last_engine == "fast"
+    for a, b in zip(results_a, results_b):
+        assert_results_identical(a, b)
+    tree_a, tree_b = sim_a.cache, sim_b.cache
+    assert tree_a.stats == tree_b.stats
+    assert tree_a.entered == tree_b.entered
+    assert tree_a.layer_hits == tree_b.layer_hits
+    assert tree_a.shard_served == tree_b.shard_served
+    for layer_a, layer_b in zip(tree_a.layers, tree_b.layers):
+        for shard_a, shard_b in zip(layer_a, layer_b):
+            assert shard_a.stats == shard_b.stats
+            assert sorted(shard_a.keys()) == sorted(shard_b.keys())
+    assert mon_a.windows == mon_b.windows
+    assert mon_a.alerts == mon_b.alerts
+    assert mon_a.summaries == mon_b.summaries
+    assert rec_a.records == rec_b.records
+    assert rec_a.suspects() == rec_b.suspects()
+    assert export_a == export_b
+
+
+class TestLayeredFastIdentity:
+    """Layered trees on the fast kernel == the legacy scheduler."""
+
+    @pytest.mark.parametrize("routing", ROUTINGS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_routing_policy_grid(self, routing, policy):
+        def run(engine):
+            sim = EventDrivenSimulator(
+                _params(), AdversarialDistribution(500, 100),
+                cache=_two_layer_tree(policy), seed=11, routing=routing,
+                engine=engine,
+            )
+            return sim, [sim.run(3000, trial=trial) for trial in (0, 1)]
+
+        legacy, results_a = run("legacy")
+        fast, results_b = run("fast")
+        assert fast.last_engine == "fast"
+        for a, b in zip(results_a, results_b):
+            assert_results_identical(a, b)
+        assert legacy.cache.entered == fast.cache.entered
+        assert legacy.cache.shard_served == fast.cache.shard_served
+
+    def test_observed_run_matches_legacy(self):
+        legacy = _observed_run(_two_layer_tree("lru"), "legacy")
+        fast = _observed_run(_two_layer_tree("lru"), "fast")
+        _assert_observed_identical(legacy, fast)
+        windows = fast[2].windows
+        assert any(any(w.get("layer_hits", {}).values()) for w in windows)
+        assert any("layer" in rec for rec in fast[3].records)
+
+
+class TestSupportsGate:
+    """The gate admits every tree; the branch choice keeps them off
+    the vectorized membership test."""
+
+    def test_perfect_tree_takes_sequential_pass(self, monkeypatch):
         tree = _perfect_tree()
         # The trap: every shard is statically resident, so the tree as a
         # whole reports STATIC_RESIDENCY=True...
@@ -250,9 +321,30 @@ class TestSupportsGate:
         assert tree.HIERARCHICAL is True
         sim = EventDrivenSimulator(
             _params(), AdversarialDistribution(500, 11), cache=tree, seed=1,
+            engine="fast",
         )
-        # ...and only the HIERARCHICAL gate keeps it off the fast path.
-        assert not kernel.supports(sim)
+        assert kernel.supports(sim)
+
+        def vectorized(cache, keys):
+            raise AssertionError("a tree must not take the np.isin branch")
+
+        # ...and only the HIERARCHICAL hint keeps it off np.isin.
+        monkeypatch.setattr(kernel, "_static_hits", vectorized)
+        sim.run(1000)
+        assert sim.last_engine == "fast"
+        assert sum(tree.entered) >= 1000
+        assert tree.stats.accesses == 1000
+
+    def test_perfect_tree_matches_legacy(self):
+        legacy = _observed_run(_perfect_tree(), "legacy")
+        fast = _observed_run(_perfect_tree(), "fast")
+        _assert_observed_identical(legacy, fast)
+        # Both layers served hits, and the traced hits carry their path.
+        assert all(fast[0].cache.layer_hits)
+        windows = fast[2].windows
+        assert any(w["layer_hits"]["1"] for w in windows)
+        hits = [rec for rec in fast[3].records if rec["hit"]]
+        assert hits and all("layer" in rec and "shard" in rec for rec in hits)
 
     def test_flat_perfect_cache_still_supported(self):
         sim = EventDrivenSimulator(
@@ -260,17 +352,10 @@ class TestSupportsGate:
         )
         assert kernel.supports(sim)
 
-    def test_fast_engine_runs_legacy_for_perfect_tree(self):
-        sim = EventDrivenSimulator(
-            _params(), AdversarialDistribution(500, 11),
-            cache=_perfect_tree(), seed=1, engine="fast",
-        )
-        sim.run(1000)
-        assert sim.last_engine == "legacy"
-
     def test_degenerate_perfect_tree_matches_flat_legacy(self):
         # Degeneracy holds for static shards too: a 1x1 tree of the
-        # default perfect cache equals the flat default, via legacy.
+        # default perfect cache on the fast kernel equals the flat
+        # default on the legacy scheduler.
         flat = EventDrivenSimulator(
             _params(), AdversarialDistribution(500, 11), seed=2,
             engine="legacy",
@@ -280,5 +365,5 @@ class TestSupportsGate:
             cache=CacheTree([[PerfectCache(10)]]), seed=2, engine="fast",
         )
         a, b = flat.run(2000), tree.run(2000)
-        assert tree.last_engine == "legacy"
+        assert tree.last_engine == "fast"
         assert_results_identical(a, b)
