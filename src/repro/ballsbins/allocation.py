@@ -21,10 +21,17 @@ matrix — the batched kernel only applies a ball's placement once no
 earlier unplaced ball shares any of its candidate bins, deferring the
 rest to the next round, so the greedy order semantics (including
 first-candidate tie-breaking) are preserved exactly.
+
+Many independent trials of the process (a Monte-Carlo campaign) run
+faster side by side than one after another: :func:`lockstep_greedy`
+places ball ``k`` of every trial of a block in one gather + row-wise
+``argmin`` + scatter step, optionally with weighted balls, and each
+trial's result is again byte-identical to the reference loop.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Union
 
 import numpy as np
@@ -37,6 +44,11 @@ __all__ = [
     "d_choice_allocate",
     "sample_replica_groups",
     "replica_group_allocate",
+    "LOCKSTEP_BUDGET_BYTES",
+    "lockstep_block_size",
+    "LockstepStore",
+    "lockstep_store_dtype",
+    "lockstep_greedy",
 ]
 
 RngLike = Union[None, int, np.random.Generator]
@@ -99,8 +111,7 @@ def sample_replica_groups(
     choices = gen.integers(0, bins, size=(balls, d))
     if distinct and d > 1:
         for _ in range(64):
-            sorted_rows = np.sort(choices, axis=1)
-            dup_mask = (np.diff(sorted_rows, axis=1) == 0).any(axis=1)
+            dup_mask = _duplicate_rows(choices)
             n_dup = int(dup_mask.sum())
             if n_dup == 0:
                 break
@@ -108,7 +119,23 @@ def sample_replica_groups(
         else:  # pragma: no cover - 64 rounds suffice for any d <= bins/2
             for row in np.nonzero(dup_mask)[0]:
                 choices[row] = gen.choice(bins, size=d, replace=False)
-    return choices.astype(np.int64)
+    return choices.astype(np.int64, copy=False)
+
+
+def _duplicate_rows(choices: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``choices`` that list some bin twice.
+
+    Pairwise column compares over the ``d (d - 1) / 2`` column pairs:
+    the same mask as sorting each row and looking for equal neighbours,
+    at a fraction of the cost for the small ``d`` of replica groups.
+    """
+    d = choices.shape[1]
+    dup = np.zeros(choices.shape[0], dtype=bool)
+    for i in range(d - 1):
+        column = choices[:, i]
+        for j in range(i + 1, d):
+            dup |= column == choices[:, j]
+    return dup
 
 
 #: Below this many balls the numpy round overhead dominates and the
@@ -116,10 +143,22 @@ def sample_replica_groups(
 _BATCH_MIN_BALLS = 4096
 
 
-def _d_choice_sequential(choices: np.ndarray, bins: int) -> np.ndarray:
-    """Reference greedy loop: exact, simple, ~1e6 balls/second."""
-    loads = [0] * bins
-    for row in choices.tolist():
+def _d_choice_sequential(
+    choices: np.ndarray, bins: int, weights: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Reference greedy loop: exact, simple, ~1e6 balls/second.
+
+    Unit balls give ``int64`` occupancy; ``weights`` (one per ball)
+    give ``float`` loads, each ball adding its weight to the least
+    loaded of its candidates (an earlier candidate wins ties).
+    """
+    if weights is None:
+        loads = [0] * bins
+        step_weights = itertools.repeat(1)
+    else:
+        loads = [0.0] * bins
+        step_weights = weights.tolist()
+    for row, weight in zip(choices.tolist(), step_weights):
         best = row[0]
         best_load = loads[best]
         for cand in row[1:]:
@@ -127,8 +166,8 @@ def _d_choice_sequential(choices: np.ndarray, bins: int) -> np.ndarray:
             if cand_load < best_load:
                 best = cand
                 best_load = cand_load
-        loads[best] = best_load + 1
-    return np.asarray(loads, dtype=np.int64)
+        loads[best] = best_load + weight
+    return np.asarray(loads, dtype=np.int64 if weights is None else float)
 
 
 #: Once a round shrinks below this many balls, numpy call overhead per
@@ -216,6 +255,197 @@ def _d_choice_batched(
         metrics.counter("alloc_batched_rounds_total").inc(rounds)
         metrics.counter("alloc_batched_tail_balls_total").inc(tail_balls)
     return loads
+
+
+#: Memory budget of one lockstep block's compact candidate store (plus
+#: its per-trial weights, when weights differ between trials).  The
+#: block size follows from it — about 27 trials at paper shape
+#: (1e5 balls, d = 3, ``int16`` node ids) — so memory stays bounded for
+#: any trial count.
+LOCKSTEP_BUDGET_BYTES = 16 * 2**20
+
+#: Balls widened from the compact store to ``intp`` indices at a time.
+_LOCKSTEP_SLAB = 4096
+
+#: Narrower blocks run the reference loop trial by trial: a lockstep
+#: step costs a handful of numpy calls whatever the block width, which
+#: only beats the loop's per-ball cost from about four trials up.
+_LOCKSTEP_MIN_TRIALS = 4
+
+
+def lockstep_store_dtype(bins: int) -> np.dtype:
+    """Narrowest signed integer dtype whose range covers ``bins``, so it
+    holds every bin id (``int16`` up to 32767 bins)."""
+    for dtype in (np.int16, np.int32):
+        if bins <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def lockstep_block_size(
+    balls: int, bins: int, d: int, weight_bytes: int = 0
+) -> int:
+    """Trials per lockstep block under :data:`LOCKSTEP_BUDGET_BYTES`.
+
+    A trial costs ``balls * d`` compact node ids plus ``weight_bytes``
+    per ball when its weights are stored per trial; at least one trial
+    always fits.
+    """
+    per_trial = balls * (d * lockstep_store_dtype(bins).itemsize + weight_bytes)
+    return max(1, LOCKSTEP_BUDGET_BYTES // max(1, per_trial))
+
+
+class LockstepStore:
+    """The candidate matrices and ball weights of a block of trials.
+
+    Trials are added one at a time, in trial order.  Each trial's
+    ``(balls, d)`` candidate matrix is checked (bin ids in
+    ``[0, bins)``) and copied into one compact ``array`` of shape
+    ``(balls, trials * d)`` and dtype :func:`lockstep_store_dtype` —
+    trial ``t`` in columns ``t * d`` to ``t * d + d - 1`` — so the
+    caller can drop its ``int64`` matrix before sampling the next
+    trial.  Balls weigh 1 (the default), share the non-negative
+    ``weights`` vector given here, or, with ``trial_weights=True``,
+    take each trial's own vector from :meth:`add`.
+    """
+
+    def __init__(
+        self,
+        balls: int,
+        trials: int,
+        d: int,
+        bins: int,
+        weights: Optional[np.ndarray] = None,
+        trial_weights: bool = False,
+    ) -> None:
+        if trials < 1:
+            raise ConfigurationError(f"need at least one trial, got {trials}")
+        if weights is not None and trial_weights:
+            raise ConfigurationError("give shared weights or trial_weights, not both")
+        self.trials = trials
+        self.bins = bins
+        self._d = d
+        self.array = np.empty((balls, trials * d), dtype=lockstep_store_dtype(bins))
+        self._trial_weights = trial_weights
+        if trial_weights:
+            self.weights = np.empty((balls, trials))
+        elif weights is not None:
+            self.weights = _check_weights(weights, balls)
+        else:
+            self.weights = None
+        self.filled = 0
+
+    def add(self, choices: np.ndarray, weights: Optional[np.ndarray] = None) -> None:
+        """Append the next trial's candidates (and weights, if per trial)."""
+        if self.filled == self.trials:
+            raise ConfigurationError(f"store is full ({self.trials} trials)")
+        if (weights is not None) != self._trial_weights:
+            raise ConfigurationError(
+                "pass weights to add() exactly when the store has trial_weights"
+            )
+        choices = np.asarray(choices, dtype=np.int64)
+        balls = self.array.shape[0]
+        if choices.shape != (balls, self._d):
+            raise ConfigurationError(
+                f"choices must have shape {(balls, self._d)}, got {choices.shape}"
+            )
+        if choices.size and (choices.min() < 0 or choices.max() >= self.bins):
+            raise ConfigurationError("candidate entries must be bin ids in [0, bins)")
+        t = self.filled
+        if self._trial_weights:
+            self.weights[:, t] = _check_weights(weights, balls)
+        self.array[:, t * self._d : (t + 1) * self._d] = choices
+        self.filled += 1
+
+    def greedy(self) -> np.ndarray:
+        """:func:`lockstep_greedy` over the filled store: ``(trials, bins)``."""
+        if self.filled != self.trials:
+            raise ConfigurationError(
+                f"store holds {self.filled} of its {self.trials} trials"
+            )
+        return lockstep_greedy(self.array, self.trials, self.bins, self.weights)
+
+
+def _check_weights(weights: np.ndarray, balls: int) -> np.ndarray:
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (balls,):
+        raise ConfigurationError(
+            f"weights must have one entry per ball, got {weights.shape} for {balls} balls"
+        )
+    if np.any(weights < 0):
+        raise ConfigurationError("weights must be non-negative")
+    return weights
+
+
+def lockstep_greedy(
+    store: np.ndarray,
+    trials: int,
+    bins: int,
+    weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Greedy d-choice over a block of independent trials, in lockstep.
+
+    Every trial of the block places its ball ``k`` in the same step:
+    one gather of the ``trials * d`` candidate loads from a flat
+    ``trials * bins`` load vector (trial ``t``'s bins offset by
+    ``t * bins``), one row-wise ``argmin`` and one scatter of the
+    ``trials`` winners.  Row ``t`` of the result is exactly what the
+    sequential greedy loop returns for trial ``t`` alone:
+
+    - ``argmin`` returns the *first* minimum, which is the loop's
+      strict ``<`` (an earlier candidate wins ties);
+    - each trial adds its weights one ball at a time in ball order, so
+      every float sum is formed in the same order as in the loop.
+
+    ``store`` is laid out as :attr:`LockstepStore.array` (which
+    validates its input; this kernel does not check bin ids).
+    ``weights`` is ``None`` (unit balls, integer loads), a ``(balls,)``
+    vector shared by every trial, or a ``(balls, trials)`` matrix of
+    per-trial weights.  Returns the ``(trials, bins)`` load matrix.
+    Blocks of fewer than :data:`_LOCKSTEP_MIN_TRIALS` trials run the
+    reference loop per trial instead, which is faster there.
+    """
+    if trials < 1:
+        raise ConfigurationError(f"need at least one trial, got {trials}")
+    balls, width = store.shape
+    d = width // trials
+    if d * trials != width:
+        raise ConfigurationError(
+            f"store has {width} columns, not a multiple of {trials} trials"
+        )
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape not in ((balls,), (balls, trials)):
+            raise ConfigurationError(
+                f"weights must have shape ({balls},) or ({balls}, {trials}), "
+                f"got {weights.shape}"
+            )
+    if trials < _LOCKSTEP_MIN_TRIALS:
+        per_trial = weights is not None and weights.ndim == 2
+        return np.stack([
+            _d_choice_sequential(
+                store[:, t * d : (t + 1) * d], bins,
+                weights[:, t] if per_trial else weights,
+            )
+            for t in range(trials)
+        ])
+    loads = np.zeros(trials * bins, dtype=np.int64 if weights is None else float)
+    offsets = np.repeat(np.arange(trials, dtype=np.intp) * bins, d)
+    base = np.arange(trials, dtype=np.intp) * d
+    step_weights = itertools.repeat(1)
+    for lo in range(0, balls, _LOCKSTEP_SLAB):
+        slab = store[lo : lo + _LOCKSTEP_SLAB].astype(np.intp)
+        slab += offsets
+        if weights is not None:
+            step_weights = weights[lo : lo + _LOCKSTEP_SLAB]
+            if weights.ndim == 1:
+                step_weights = step_weights.tolist()
+        for cand, weight in zip(slab, step_weights):
+            cand_loads = loads[cand]
+            pos = cand_loads.reshape(trials, d).argmin(axis=1)
+            pos += base
+            loads[cand[pos]] = cand_loads[pos] + weight
+    return loads.reshape(trials, bins)
 
 
 def d_choice_allocate(

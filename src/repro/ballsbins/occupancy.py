@@ -17,7 +17,13 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..rng import RngFactory
-from .allocation import d_choice_allocate, one_choice_allocate
+from .allocation import (
+    LockstepStore,
+    _check,
+    lockstep_block_size,
+    one_choice_allocate,
+    sample_replica_groups,
+)
 
 __all__ = [
     "OccupancyStats",
@@ -85,19 +91,30 @@ def max_occupancy_trials(
 
     Returns a length-``trials`` integer array; trial ``t`` uses an
     independent RNG stream derived from ``seed`` so runs are
-    reproducible yet uncorrelated.
+    reproducible yet uncorrelated.  For ``d >= 2`` the trials run in
+    lockstep blocks (:class:`~repro.ballsbins.allocation.LockstepStore`
+    with unit balls); each maximum equals what
+    :func:`~repro.ballsbins.allocation.d_choice_allocate` returns for
+    that trial's stream alone.
     """
     if trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials}")
     factory = RngFactory(seed)
     maxima = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        gen = factory.generator("ballsbins", trial=t)
-        if d == 1:
-            occ = one_choice_allocate(balls, bins, rng=gen)
-        else:
-            occ = d_choice_allocate(balls, bins, d, rng=gen)
-        maxima[t] = occ.max() if occ.size else 0
+    if d == 1:
+        for t in range(trials):
+            gen = factory.generator("ballsbins", trial=t)
+            maxima[t] = one_choice_allocate(balls, bins, rng=gen).max()
+        return maxima
+    _check(balls, bins, d)
+    size = lockstep_block_size(balls, bins, d)
+    for lo in range(0, trials, size):
+        block = range(lo, min(trials, lo + size))
+        store = LockstepStore(balls, len(block), d, bins)
+        for t in block:
+            gen = factory.generator("ballsbins", trial=t)
+            store.add(sample_replica_groups(balls, bins, d, rng=gen))
+        maxima[lo : block.stop] = store.greedy().max(axis=1)
     return maxima
 
 

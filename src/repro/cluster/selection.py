@@ -21,6 +21,7 @@ from typing import Union
 
 import numpy as np
 
+from ..ballsbins.allocation import _d_choice_sequential
 from ..exceptions import ConfigurationError
 from ..rng import as_generator
 from ..scenario.registry import register_component
@@ -100,17 +101,7 @@ class LeastLoadedKeyPinning(SelectionPolicy):
     def node_loads(self, groups, rates, n, rng=None):
         """Greedy rate-weighted d-choice placement (deterministic)."""
         groups, rates = _validate(groups, rates, n)
-        loads = [0.0] * n
-        for row, rate in zip(groups.tolist(), rates.tolist()):
-            best = row[0]
-            best_load = loads[best]
-            for cand in row[1:]:
-                cand_load = loads[cand]
-                if cand_load < best_load:
-                    best = cand
-                    best_load = cand_load
-            loads[best] = best_load + rate
-        return np.asarray(loads, dtype=float)
+        return _d_choice_sequential(groups, n, rates)
 
 
 @register_component("selection", "random-pin")

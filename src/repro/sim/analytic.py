@@ -10,18 +10,38 @@ of the most loaded node.  Repeat 200 times and report the max.
 :func:`simulate_distribution` generalises it to any popularity law
 (needed for the uniform and Zipf(1.01) series of Figure 4), with the
 perfect front-end cache absorbing the distribution's true top-``c``.
+
+Both campaigns hand :func:`~repro.sim.runner.run_trials` a *block
+task*: it receives the generators of a contiguous range of trials
+(every trial serially, one range per worker otherwise).  Chaos-free
+``least-loaded`` campaigns split that range into lockstep blocks sized
+by a memory budget: every trial draws its rates and replica groups
+from its own stream, in the per-trial order, into a compact
+:class:`~repro.ballsbins.allocation.LockstepStore`, and one greedy step
+then places ball ``k`` of every trial of the block at once.  Each
+trial's load vector is bit-identical to
+:meth:`~repro.cluster.selection.LeastLoadedKeyPinning.node_loads` over
+that trial alone (see ``docs/PERFORMANCE.md``, "Trial-axis lockstep").
+Other selection rules and chaos campaigns run their per-trial
+:meth:`MonteCarloSimulator.uniform_attack_trial` /
+:meth:`MonteCarloSimulator.distribution_trial` inside the same block
+dispatch.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ballsbins.allocation import sample_replica_groups
+from ..ballsbins.allocation import (
+    LockstepStore,
+    lockstep_block_size,
+    sample_replica_groups,
+)
 from ..cluster.failures import degrade_groups, sample_failures
-from ..cluster.selection import make_selection_policy
+from ..cluster.selection import LeastLoadedKeyPinning, make_selection_policy
 from ..core.notation import SystemParameters
 from ..exceptions import ConfigurationError, SimulationError
 from ..obs.tracer import as_tracer
@@ -55,6 +75,11 @@ class MonteCarloSimulator:
                 "replicas with the least-loaded rule; "
                 f"selection={config.selection!r} is not supported with chaos"
             )
+        # Chaos-free least-loaded campaigns place their trials in
+        # lockstep; every other campaign places trial by trial.
+        self._lockstep = (
+            config.chaos is None and type(self._selection) is LeastLoadedKeyPinning
+        )
 
     @property
     def config(self) -> SimulationConfig:
@@ -68,13 +93,11 @@ class MonteCarloSimulator:
     ) -> LoadVector:
         """One trial of the x-key uniform attack (Section IV, one run)."""
         params = self._config.params
-        if not 1 <= x <= params.m:
-            raise ConfigurationError(f"need 1 <= x <= m={params.m}, got x={x}")
-        tracer = as_tracer(self._config.tracer)
-        balls = x - params.c
+        balls = self._uniform_balls(x)
         if balls <= 0:
             # Every queried key is cached: the back end sees nothing.
-            return LoadVector(loads=np.zeros(params.n), total_rate=params.rate)
+            return self._idle_vector()
+        tracer = as_tracer(self._config.tracer)
         # Phase spans are wall-clock and process-local: they record in
         # serial runs; with workers > 1 the worker's tracer copy is
         # discarded (metric determinism is unaffected — spans never
@@ -85,12 +108,40 @@ class MonteCarloSimulator:
             groups = sample_replica_groups(balls, params.n, params.d, rng=gen)
         with tracer.span("allocation"):
             loads = self._node_loads(groups, rates, gen)
-        return LoadVector(loads=loads, total_rate=params.rate)
+        return self._vector(loads)
+
+    def uniform_attack_block(
+        self, x: int, gens: Sequence[np.random.Generator]
+    ) -> List[LoadVector]:
+        """The x-key uniform attack's trials for ``gens``, one per stream.
+
+        Bit-identical to :meth:`uniform_attack_trial` per generator; a
+        chaos-free least-loaded campaign runs them in lockstep.
+        """
+        if not self._lockstep:
+            return [self.uniform_attack_trial(x, gen) for gen in gens]
+        balls = self._uniform_balls(x)
+        if balls <= 0:
+            return [self._idle_vector() for _ in gens]
+        if not self._config.exact_rates:
+            return self._lockstep_trials(
+                gens, balls, trial_rates=partial(self._uncached_rates, x, balls)
+            )
+        with as_tracer(self._config.tracer).span("workload"):
+            rates = self._uncached_rates(x, balls, None)
+        return self._lockstep_trials(gens, balls, rates=rates)
+
+    def _uniform_balls(self, x: int) -> int:
+        params = self._config.params
+        if not 1 <= x <= params.m:
+            raise ConfigurationError(f"need 1 <= x <= m={params.m}, got x={x}")
+        return x - params.c
 
     def _node_loads(
         self, groups: np.ndarray, rates: np.ndarray, gen: np.random.Generator
     ) -> np.ndarray:
-        """Place keys on nodes, degrading groups first when chaos is on.
+        """Place one trial's keys on nodes, degrading groups first when
+        chaos is on.
 
         The chaos path samples a failure set of the renewal process's
         steady-state size from the *trial's own* generator (so chaos
@@ -109,15 +160,57 @@ class MonteCarloSimulator:
         degraded = degrade_groups(groups, failed, params.n)
         return degraded.least_loaded_loads(rates, params.n)
 
+    def _lockstep_trials(
+        self,
+        gens: Sequence[np.random.Generator],
+        balls: int,
+        rates: Optional[np.ndarray] = None,
+        trial_rates: Optional[Callable[[np.random.Generator], np.ndarray]] = None,
+    ) -> List[LoadVector]:
+        """Greedy least-loaded placement of every trial in ``gens``.
+
+        Trials run in lockstep blocks sized by
+        :func:`~repro.ballsbins.allocation.lockstep_block_size`.  Each
+        trial draws its rates (``trial_rates``, unless one ``rates``
+        vector serves every trial) and then its groups from its own
+        generator, in the per-trial order, and its groups go straight
+        into the block's compact store.
+        """
+        params = self._config.params
+        tracer = as_tracer(self._config.tracer)
+        weight_bytes = 0 if rates is not None else np.dtype(float).itemsize
+        size = lockstep_block_size(balls, params.n, params.d, weight_bytes)
+        vectors: List[LoadVector] = []
+        for lo in range(0, len(gens), size):
+            block_gens = gens[lo : lo + size]
+            store = LockstepStore(
+                balls, len(block_gens), params.d, params.n,
+                weights=rates, trial_weights=rates is None,
+            )
+            for gen in block_gens:
+                own_rates = None
+                if trial_rates is not None:
+                    with tracer.span("workload"):
+                        own_rates = trial_rates(gen)
+                with tracer.span("partition"):
+                    store.add(
+                        sample_replica_groups(balls, params.n, params.d, rng=gen),
+                        own_rates,
+                    )
+            with tracer.span("allocation"):
+                loads = store.greedy()
+            vectors.extend(self._vector(row) for row in loads)
+        return vectors
+
     def uniform_attack(self, x: int) -> LoadReport:
         """Multi-trial x-key uniform attack; the unit of Figs. 3 and 5.
 
-        The trial callable is a ``partial`` over a bound method (not a
-        lambda) so ``workers > 1`` can ship it to worker processes.
+        The block task is a ``partial`` over a top-level function (not
+        a lambda) so ``workers > 1`` can ship it to worker processes.
         """
         cfg = self._config
         return run_trials(
-            partial(_uniform_attack_trial_task, self, x),
+            partial(_uniform_attack_block_task, self, x),
             trials=cfg.trials,
             seed=cfg.seed,
             label=f"uniform-attack-x{x}",
@@ -132,7 +225,7 @@ class MonteCarloSimulator:
         )
 
     def _uncached_rates(
-        self, x: int, balls: int, gen: np.random.Generator
+        self, x: int, balls: int, gen: Optional[np.random.Generator]
     ) -> np.ndarray:
         params = self._config.params
         per_key = params.rate / x
@@ -156,31 +249,51 @@ class MonteCarloSimulator:
         steady-state rate as weight.
         """
         params = self._config.params
-        if distribution.m != params.m:
-            raise SimulationError(
-                f"distribution covers {distribution.m} keys, system serves {params.m}"
-            )
-        tracer = as_tracer(self._config.tracer)
-        with tracer.span("workload"):
-            probs = distribution.probabilities()
-            cached = distribution.top_keys(params.c)
-            uncached_mask = probs > 0
-            uncached_mask[cached] = False
-            rates = probs[uncached_mask] * params.rate
+        rates = self._distribution_rates(distribution)
         balls = int(rates.size)
         if balls == 0:
-            return LoadVector(loads=np.zeros(params.n), total_rate=params.rate)
+            return self._idle_vector()
+        tracer = as_tracer(self._config.tracer)
         with tracer.span("partition"):
             groups = sample_replica_groups(balls, params.n, params.d, rng=gen)
         with tracer.span("allocation"):
             loads = self._node_loads(groups, rates, gen)
-        return LoadVector(loads=loads, total_rate=params.rate)
+        return self._vector(loads)
+
+    def distribution_block(
+        self, distribution: KeyDistribution, gens: Sequence[np.random.Generator]
+    ) -> List[LoadVector]:
+        """The distribution's trials for ``gens``, one per stream.
+
+        Bit-identical to :meth:`distribution_trial` per generator; a
+        chaos-free least-loaded campaign runs them in lockstep.
+        """
+        if not self._lockstep:
+            return [self.distribution_trial(distribution, gen) for gen in gens]
+        rates = self._distribution_rates(distribution)
+        if rates.size == 0:
+            return [self._idle_vector() for _ in gens]
+        return self._lockstep_trials(gens, int(rates.size), rates=rates)
+
+    def _distribution_rates(self, distribution: KeyDistribution) -> np.ndarray:
+        """Steady-state rates of the keys the perfect front end misses."""
+        params = self._config.params
+        if distribution.m != params.m:
+            raise SimulationError(
+                f"distribution covers {distribution.m} keys, system serves {params.m}"
+            )
+        with as_tracer(self._config.tracer).span("workload"):
+            probs = distribution.probabilities()
+            cached = distribution.top_keys(params.c)
+            uncached_mask = probs > 0
+            uncached_mask[cached] = False
+            return probs[uncached_mask] * params.rate
 
     def distribution_attack(self, distribution: KeyDistribution) -> LoadReport:
         """Multi-trial run of an arbitrary access pattern."""
         cfg = self._config
         return run_trials(
-            partial(_distribution_trial_task, self, distribution),
+            partial(_distribution_block_task, self, distribution),
             trials=cfg.trials,
             seed=cfg.seed,
             label=f"distribution-{distribution.name}",
@@ -195,6 +308,12 @@ class MonteCarloSimulator:
             tracer=cfg.tracer,
             monitor=cfg.monitor,
         )
+
+    def _vector(self, loads: np.ndarray) -> LoadVector:
+        return LoadVector(loads=loads, total_rate=self._config.params.rate)
+
+    def _idle_vector(self) -> LoadVector:
+        return self._vector(np.zeros(self._config.params.n))
 
     # -- the adversary's endpoint choice (Figure 5) -------------------------
 
@@ -241,18 +360,20 @@ def _chaos_meta(cfg: SimulationConfig) -> dict:
     }
 
 
-def _uniform_attack_trial_task(
-    sim: "MonteCarloSimulator", x: int, gen: np.random.Generator
-) -> LoadVector:
-    """Spawn-safe top-level wrapper for the uniform-attack trial."""
-    return sim.uniform_attack_trial(x, gen)
+def _uniform_attack_block_task(
+    sim: "MonteCarloSimulator", x: int, gens: Sequence[np.random.Generator]
+) -> List[LoadVector]:
+    """Spawn-safe top-level wrapper for the uniform-attack block."""
+    return sim.uniform_attack_block(x, gens)
 
 
-def _distribution_trial_task(
-    sim: "MonteCarloSimulator", distribution: KeyDistribution, gen: np.random.Generator
-) -> LoadVector:
-    """Spawn-safe top-level wrapper for the distribution trial."""
-    return sim.distribution_trial(distribution, gen)
+def _distribution_block_task(
+    sim: "MonteCarloSimulator",
+    distribution: KeyDistribution,
+    gens: Sequence[np.random.Generator],
+) -> List[LoadVector]:
+    """Spawn-safe top-level wrapper for the distribution block."""
+    return sim.distribution_block(distribution, gens)
 
 
 def simulate_uniform_attack(

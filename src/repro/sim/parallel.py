@@ -16,6 +16,9 @@ a picklable object, or a :func:`functools.partial` over either.  Plain
 ``lambda``\\ s work for serial execution (``workers=1``) but cannot cross
 a process boundary; the executor raises a :class:`SimulationError` with
 that diagnosis up front rather than letting the pool fail obscurely.
+:meth:`ParallelExecutor.map_blocks` has the same requirement; its task
+receives the generators of a whole contiguous trial range at once, so
+it can advance those trials together.
 
 Start method
 ------------
@@ -145,6 +148,36 @@ def _run_chunk(
     return results
 
 
+def _run_block(
+    task: Callable[[List[np.random.Generator]], Sequence[Any]],
+    seed: int,
+    label: str,
+    trial_indices: Sequence[int],
+) -> List[Any]:
+    """Run one contiguous trial range as a block task (top-level:
+    spawn-picklable); the task gets the range's per-trial generators."""
+    factory = RngFactory(seed)
+    gens = [factory.generator(label, trial=t) for t in trial_indices]
+    outcomes = list(task(gens))
+    if len(outcomes) != len(gens):
+        raise SimulationError(
+            f"block task returned {len(outcomes)} outcomes for {len(gens)} trials"
+        )
+    return outcomes
+
+
+def _check_picklable(task: Callable[..., Any], *payload: Any) -> None:
+    """Fail up front, with the diagnosis, if ``task`` cannot reach a worker."""
+    try:
+        pickle.dumps((task,) + payload)
+    except Exception as exc:
+        raise SimulationError(
+            "parallel execution requires the task and its arguments to be "
+            "picklable (a top-level function, a bound method of a picklable "
+            f"object, or a functools.partial over either); got {task!r}: {exc}"
+        ) from exc
+
+
 class ParallelExecutor:
     """Fans independent trials out over worker processes.
 
@@ -223,6 +256,44 @@ class ParallelExecutor:
             size = max(1, math.ceil(trials / (self._workers * self.CHUNKS_PER_WORKER)))
         return [range(lo, min(trials, lo + size)) for lo in range(0, trials, size)]
 
+    def map_blocks(
+        self,
+        task: Callable[[List[np.random.Generator]], Sequence[Any]],
+        trials: int,
+        seed: Optional[int] = None,
+        label: str = "trial",
+    ) -> List[Any]:
+        """Run ``task`` over contiguous trial ranges; results in trial order.
+
+        ``task`` is called as ``task(gens)``, where ``gens`` lists the
+        ``(seed, label, trial)`` streams of one contiguous range of
+        trials in trial order, and must return one outcome per
+        generator.  This lets a task advance many trials
+        together (the Monte-Carlo campaigns run their greedy placement
+        in lockstep across a block); splitting a range into blocks is
+        the task's business.  Serially the one range is every trial;
+        with ``chunk_size`` unset each worker gets one range of about
+        ``trials / workers`` trials.  Like :meth:`map_trials`, the task
+        must consume only each trial's generator for that trial's
+        randomness, so the result does not depend on the split.
+        """
+        if trials < 1:
+            raise SimulationError(f"need at least one trial, got {trials}")
+        seed = resolve_seed(seed)
+        if self._workers == 1 or trials == 1:
+            return _run_block(task, seed, label, range(trials))
+        _check_picklable(task)
+        size = self._chunk_size or math.ceil(trials / self._workers)
+        pool = self._ensure_pool()
+        futures = [
+            pool.submit(_run_block, task, seed, label, range(lo, min(trials, lo + size)))
+            for lo in range(0, trials, size)
+        ]
+        results: List[Any] = []
+        for future in futures:
+            results.extend(future.result())
+        return results
+
     def map_trials(
         self,
         task: Callable[..., Any],
@@ -289,14 +360,7 @@ class ParallelExecutor:
                 collect_metrics, monitor_config, trace_config,
             )
         else:
-            try:
-                pickle.dumps((task, args, kwargs, monitor_config, trace_config))
-            except Exception as exc:
-                raise SimulationError(
-                    "parallel execution requires the task and its arguments to be "
-                    "picklable (a top-level function, a bound method of a picklable "
-                    f"object, or a functools.partial over either); got {task!r}: {exc}"
-                ) from exc
+            _check_picklable(task, args, kwargs, monitor_config, trace_config)
             pool = self._ensure_pool()
             futures = [
                 pool.submit(

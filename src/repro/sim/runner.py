@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -15,7 +15,7 @@ __all__ = ["run_trials"]
 
 
 def run_trials(
-    trial_fn: Callable[[np.random.Generator], LoadVector],
+    block_task: Callable[[List[np.random.Generator]], Sequence[LoadVector]],
     trials: int,
     seed: Optional[int] = None,
     label: str = "trial",
@@ -26,16 +26,20 @@ def run_trials(
     tracer=None,
     monitor=None,
 ) -> LoadReport:
-    """Run ``trial_fn`` under ``trials`` independent RNG streams.
+    """Run ``block_task`` under ``trials`` independent RNG streams.
 
     Parameters
     ----------
-    trial_fn:
-        Callable producing one :class:`~repro.types.LoadVector` from a
-        dedicated generator.  It must consume *only* that generator for
-        randomness, so trials stay independent and reproducible.  With
-        ``workers > 1`` it must also be picklable (a top-level function,
-        bound method or ``functools.partial`` — not a lambda).
+    block_task:
+        Callable given the dedicated generators of a contiguous range of
+        trials, in trial order, and returning one
+        :class:`~repro.types.LoadVector` per generator (see
+        :meth:`~repro.sim.parallel.ParallelExecutor.map_blocks`; the
+        Monte-Carlo campaigns use the range to run their trials in
+        lockstep).  Each trial must consume *only* its own generator
+        for randomness, so trials stay independent and reproducible.
+        With ``workers > 1`` it must also be picklable (a top-level
+        function, bound method or ``functools.partial`` — not a lambda).
     trials:
         Number of repetitions.
     seed:
@@ -82,7 +86,7 @@ def run_trials(
         executor = ParallelExecutor(workers=workers)
     try:
         with tracer.span("trials"):
-            vectors = executor.map_trials(trial_fn, trials, seed=seed, label=label)
+            vectors = executor.map_blocks(block_task, trials, seed=seed, label=label)
     finally:
         if owns_executor:
             executor.close()

@@ -18,12 +18,17 @@ from repro.workload.distributions import UniformDistribution
 from repro.workload.zipf import ZipfDistribution
 
 
+def _each(trial_fn):
+    """Block task running ``trial_fn`` once per generator."""
+    return lambda gens: [trial_fn(gen) for gen in gens]
+
+
 class TestRunTrials:
     def test_aggregates_per_trial_gains(self):
         def trial(gen):
             return LoadVector(loads=np.array([1.0, float(gen.integers(1, 5))]), total_rate=4.0)
 
-        report = run_trials(trial, trials=50, seed=1, label="t")
+        report = run_trials(_each(trial), trials=50, seed=1, label="t")
         assert report.trials == 50
         assert report.worst_case >= report.mean
 
@@ -31,16 +36,16 @@ class TestRunTrials:
         def trial(gen):
             return LoadVector(loads=gen.random(4) + 0.1, total_rate=2.0)
 
-        a = run_trials(trial, trials=10, seed=9, label="t")
-        b = run_trials(trial, trials=10, seed=9, label="t")
+        a = run_trials(_each(trial), trials=10, seed=9, label="t")
+        b = run_trials(_each(trial), trials=10, seed=9, label="t")
         assert (a.normalized_max_per_trial == b.normalized_max_per_trial).all()
 
     def test_label_separates_campaigns(self):
         def trial(gen):
             return LoadVector(loads=gen.random(4) + 0.1, total_rate=2.0)
 
-        a = run_trials(trial, trials=10, seed=9, label="one")
-        b = run_trials(trial, trials=10, seed=9, label="two")
+        a = run_trials(_each(trial), trials=10, seed=9, label="one")
+        b = run_trials(_each(trial), trials=10, seed=9, label="two")
         assert not (a.normalized_max_per_trial == b.normalized_max_per_trial).all()
 
     def test_rejects_configuration_drift(self):
@@ -52,11 +57,11 @@ class TestRunTrials:
             return LoadVector(loads=np.array([1.0]), total_rate=rate)
 
         with pytest.raises(SimulationError):
-            run_trials(trial, trials=2, seed=1)
+            run_trials(_each(trial), trials=2, seed=1)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(SimulationError):
-            run_trials(lambda g: None, trials=0)
+            run_trials(lambda gens: [], trials=0)
 
 
 class TestUniformAttack:

@@ -5,6 +5,8 @@ seed produces *bit-identical* per-trial results — parallelism is an
 execution detail, never a semantics change.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,15 @@ def _drifting_vector(gen):
     return LoadVector(loads=np.ones(4), total_rate=100.0 + gen.random())
 
 
+def _each(trial_fn, gens):
+    """Block task running ``trial_fn`` once per generator."""
+    return [trial_fn(gen) for gen in gens]
+
+
+_uniform_block = partial(_each, _uniform_vector)
+_drifting_block = partial(_each, _drifting_vector)
+
+
 class TestResolvers:
     def test_resolve_workers_defaults(self):
         assert resolve_workers(None) == 1
@@ -62,8 +73,8 @@ class TestResolvers:
         seed = resolve_seed(None)
         assert isinstance(seed, int)
         # The resolved seed must be replayable: same seed -> same report.
-        a = run_trials(_uniform_vector, trials=3, seed=seed)
-        b = run_trials(_uniform_vector, trials=3, seed=seed)
+        a = run_trials(_uniform_block, trials=3, seed=seed)
+        b = run_trials(_uniform_block, trials=3, seed=seed)
         assert (a.normalized_max_per_trial == b.normalized_max_per_trial).all()
 
 
@@ -113,21 +124,21 @@ class TestParallelExecutor:
 class TestRunTrialsWorkers:
     def test_consistency_check_names_offending_trial(self):
         with pytest.raises(SimulationError, match="trial 1 .*relative to trial 0"):
-            run_trials(_drifting_vector, trials=3, seed=1, workers=1)
+            run_trials(_drifting_block, trials=3, seed=1, workers=1)
         # Same contract on the parallel path.
         with pytest.raises(SimulationError, match="relative to trial 0"):
-            run_trials(_drifting_vector, trials=3, seed=1, workers=2)
+            run_trials(_drifting_block, trials=3, seed=1, workers=2)
 
     def test_seed_recorded_in_metadata(self):
-        report = run_trials(_uniform_vector, trials=2, seed=99)
+        report = run_trials(_uniform_block, trials=2, seed=99)
         assert report.metadata["seed"] == 99
-        report = run_trials(_uniform_vector, trials=2, seed=None)
+        report = run_trials(_uniform_block, trials=2, seed=None)
         assert isinstance(report.metadata["seed"], int)
 
     def test_reused_executor_overrides_workers(self):
         with ParallelExecutor(workers=2) as executor:
-            a = run_trials(_uniform_vector, trials=4, seed=5, executor=executor)
-            b = run_trials(_uniform_vector, trials=4, seed=5, workers=1)
+            a = run_trials(_uniform_block, trials=4, seed=5, executor=executor)
+            b = run_trials(_uniform_block, trials=4, seed=5, workers=1)
         assert (a.normalized_max_per_trial == b.normalized_max_per_trial).all()
 
 
