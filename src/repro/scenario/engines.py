@@ -11,7 +11,7 @@ event-driven engine return a third element — the merged
 :class:`~repro.obs.trace.FlightRecorder` — which
 :func:`~repro.scenario.campaign.run_scenario` surfaces as
 ``ScenarioOutcome.trace``.  Both engines execute their trials through
-:class:`repro.sim.parallel.ParallelExecutor` and are bit-identical
+:func:`repro.sim.parallel.map_blocks` and are bit-identical
 across worker counts given the spec's explicit seed.
 
 - ``monte-carlo`` is the paper's methodology (Section IV): the perfect
@@ -145,7 +145,6 @@ def run_event_driven(
     ctx: BuildContext,
     workers: int,
     routing: str = "pin",
-    kernel: str = "fast",
     queue_limit: int = 64,
     service: str = "deterministic",
 ) -> Tuple[dict, object]:
@@ -184,7 +183,7 @@ def run_event_driven(
             service=service,
             chaos=_build_chaos(spec, ctx),
             trace=recorder,
-            engine=kernel,
+            engine="fast",
         )
     except ScenarioValidationError:
         raise

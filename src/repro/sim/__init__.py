@@ -19,7 +19,7 @@ from .analytic import (
     simulate_distribution,
     simulate_uniform_attack,
 )
-from .parallel import ParallelExecutor, resolve_workers
+from .parallel import map_blocks, resolve_workers
 from .runner import run_trials
 from .engine import EventScheduler
 from .queueing import NodeServer
@@ -35,7 +35,7 @@ __all__ = [
     "simulate_uniform_attack",
     "simulate_distribution",
     "best_achievable_gain",
-    "ParallelExecutor",
+    "map_blocks",
     "resolve_workers",
     "run_trials",
     "EventScheduler",

@@ -12,7 +12,7 @@ of the most loaded node.  Repeat 200 times and report the max.
 perfect front-end cache absorbing the distribution's true top-``c``.
 
 Both campaigns hand :func:`~repro.sim.runner.run_trials` a *block
-task*: it receives the generators of a contiguous range of trials
+task*: it receives a contiguous range of trials and their generators
 (every trial serially, one range per worker otherwise).  Chaos-free
 ``least-loaded`` campaigns split that range into lockstep blocks sized
 by a memory budget: every trial draws its rates and replica groups
@@ -361,18 +361,24 @@ def _chaos_meta(cfg: SimulationConfig) -> dict:
 
 
 def _uniform_attack_block_task(
-    sim: "MonteCarloSimulator", x: int, gens: Sequence[np.random.Generator]
+    sim: "MonteCarloSimulator",
+    x: int,
+    trials: range,
+    gens: Sequence[np.random.Generator],
 ) -> List[LoadVector]:
     """Spawn-safe top-level wrapper for the uniform-attack block."""
+    del trials
     return sim.uniform_attack_block(x, gens)
 
 
 def _distribution_block_task(
     sim: "MonteCarloSimulator",
     distribution: KeyDistribution,
+    trials: range,
     gens: Sequence[np.random.Generator],
 ) -> List[LoadVector]:
     """Spawn-safe top-level wrapper for the distribution block."""
+    del trials
     return sim.distribution_block(distribution, gens)
 
 

@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.notation import SystemParameters
 from ..exceptions import SimulationError
+from ..obs.metrics import MetricsRegistry
+from ..obs.monitor import LoadMonitor, MonitorConfig
+from ..obs.trace import FlightRecorder, TraceConfig
 from ..obs.tracer import as_tracer
 from ..types import LoadReport
 from ..workload.distributions import KeyDistribution
 from .eventsim import EventDrivenSimulator, EventSimResult
-from .parallel import ParallelExecutor
+from .parallel import map_blocks, resolve_seed
 
 __all__ = ["EventCampaign", "run_event_campaign"]
 
@@ -103,49 +106,70 @@ class EventCampaign:
         return "\n".join(lines)
 
 
-def _event_campaign_trial(
-    gen,
-    trial: int,
-    params: SystemParameters,
-    distribution: KeyDistribution,
-    n_queries: int,
-    seed: Optional[int],
-    cache_factory: Optional[Callable[[], object]],
-    simulator_kwargs: dict,
-    metrics=None,
-    monitor=None,
-    trace=None,
-) -> EventSimResult:
-    """One campaign trial (top-level, so process pools can pickle it).
+@dataclass(frozen=True)
+class _CampaignBlock:
+    """The trials of one worker's range (picklable :func:`map_blocks` task).
 
     The event engine derives its randomness from ``(seed, trial)``
     internally — a fresh simulator and cache per trial, exactly like the
-    serial loop — so the executor-provided ``gen`` goes unused and the
+    serial loop — so the executor-provided generators go unused and the
     campaign stays bit-identical across worker counts.
 
     Stateful inputs are deep-copied per trial for the same reason: a
     scan distribution's cursor or a selection policy's counters would
-    otherwise advance across trials in whatever order the executor
-    happens to run them (all of them serially, a worker's share when
-    parallel), making results depend on the worker count.  Every trial
-    therefore starts from the caller's initial state.
+    otherwise advance across trials in whatever order the ranges run
+    (all of them serially, a worker's share when parallel), making
+    results depend on the worker count.  Every trial therefore starts
+    from the caller's initial state.
 
-    ``metrics`` / ``monitor`` / ``trace`` are the per-trial registry,
-    monitor and flight recorder the executor provides when the campaign
-    is instrumented; the simulator publishes into them and the executor
-    merges the snapshots in trial order.
+    Each trial also gets its own fresh sinks: a
+    :class:`~repro.obs.metrics.MetricsRegistry` when ``metrics`` is set,
+    a :class:`~repro.obs.monitor.LoadMonitor` built from ``monitor``
+    (publishing into that registry) and a
+    :class:`~repro.obs.trace.FlightRecorder` built from ``trace`` and
+    the campaign seed (its hash samplers are keyed on ``(seed, trial)``,
+    so they admit exactly the requests a serial run would).  A trial
+    returns its result with the three snapshots (``None`` for a sink
+    that is off), which :func:`run_event_campaign` merges in trial order.
     """
-    del gen
-    distribution = copy.deepcopy(distribution)
-    if simulator_kwargs.get("cluster") is not None:
-        simulator_kwargs = dict(simulator_kwargs)
-        simulator_kwargs["cluster"] = copy.deepcopy(simulator_kwargs["cluster"])
-    cache = cache_factory() if cache_factory is not None else None
-    sim = EventDrivenSimulator(
-        params, distribution, cache=cache, seed=seed, metrics=metrics,
-        monitor=monitor, trace=trace, **simulator_kwargs
-    )
-    return sim.run(n_queries, trial=trial)
+
+    params: SystemParameters
+    distribution: KeyDistribution
+    n_queries: int
+    seed: int
+    cache_factory: Optional[Callable[[], object]]
+    simulator_kwargs: dict
+    metrics: bool
+    monitor: Optional[MonitorConfig]
+    trace: Optional[TraceConfig]
+
+    def __call__(self, trials: range, gens) -> List[tuple]:
+        del gens
+        return [self._trial(t) for t in trials]
+
+    def _trial(self, trial: int) -> tuple:
+        registry = MetricsRegistry() if self.metrics else None
+        monitor = None
+        if self.monitor is not None:
+            monitor = LoadMonitor(self.monitor, metrics=registry)
+        recorder = None
+        if self.trace is not None:
+            recorder = FlightRecorder(self.trace, seed=self.seed)
+        simulator_kwargs = dict(self.simulator_kwargs)
+        if simulator_kwargs.get("cluster") is not None:
+            simulator_kwargs["cluster"] = copy.deepcopy(simulator_kwargs["cluster"])
+        cache = self.cache_factory() if self.cache_factory is not None else None
+        sim = EventDrivenSimulator(
+            self.params, copy.deepcopy(self.distribution), cache=cache,
+            seed=self.seed, metrics=registry, monitor=monitor, trace=recorder,
+            **simulator_kwargs,
+        )
+        result = sim.run(self.n_queries, trial=trial)
+        snapshots = tuple(
+            None if sink is None else sink.snapshot()
+            for sink in (registry, monitor, recorder)
+        )
+        return result, snapshots
 
 
 def run_event_campaign(
@@ -171,6 +195,12 @@ def run_event_campaign(
         :class:`~repro.sim.eventsim.EventDrivenSimulator`).
     trials, n_queries:
         Campaign size; each trial draws an independent arrival stream.
+    seed:
+        Root seed of every trial's simulator (``None`` draws fresh
+        entropy once).  The resolved value is recorded as
+        ``load_report.metadata["seed"]`` for exact reruns, and every
+        trial builds its cluster from it, so all trials share one
+        topology.
     cache_factory:
         Builds a *fresh* cache per trial (stateful policies must not
         leak warmth between trials).  ``None`` uses the per-simulator
@@ -208,8 +238,12 @@ def run_event_campaign(
     """
     if trials < 1:
         raise SimulationError(f"need at least one trial, got {trials}")
+    seed = resolve_seed(seed)
     tracer = as_tracer(tracer)
-    if monitor is not None and monitor.enabled:
+    collect_metrics = metrics is not None and metrics.enabled
+    collect_monitor = monitor is not None and monitor.enabled
+    collect_trace = trace is not None and trace.enabled
+    if collect_monitor:
         monitor.emit_manifest(
             engine="event-driven",
             trials=trials,
@@ -219,24 +253,27 @@ def run_event_campaign(
             n=params.n,
             rate=params.rate,
         )
+    block = _CampaignBlock(
+        params, distribution, n_queries, seed, cache_factory, simulator_kwargs,
+        metrics=collect_metrics,
+        monitor=monitor.config if collect_monitor else None,
+        trace=trace.config if collect_trace else None,
+    )
     with tracer.span("event-campaign"):
         with tracer.span("trials"):
-            with ParallelExecutor(workers=workers) as executor:
-                results = executor.map_trials(
-                    _event_campaign_trial,
-                    trials,
-                    seed=seed,
-                    label="event-campaign",
-                    args=(
-                        params, distribution, n_queries, seed, cache_factory,
-                        simulator_kwargs,
-                    ),
-                    pass_trial=True,
-                    metrics=metrics,
-                    monitor=monitor,
-                    trace=trace,
-                )
+            outcomes = map_blocks(
+                block, trials, seed=seed, label="event-campaign", workers=workers
+            )
         with tracer.span("aggregate"):
+            results = []
+            for result, (metrics_snap, monitor_snap, trace_snap) in outcomes:
+                results.append(result)
+                if metrics_snap is not None:
+                    metrics.merge_snapshot(metrics_snap)
+                if monitor_snap is not None:
+                    monitor.merge_trial(monitor_snap)
+                if trace_snap is not None:
+                    trace.merge_trial(trace_snap)
             gains = np.array(
                 [outcome.normalized_max for outcome in results], dtype=float
             )
@@ -248,6 +285,7 @@ def run_event_campaign(
                     "engine": "event-driven",
                     "n_queries": n_queries,
                     "distribution": distribution.name,
+                    "seed": seed,
                 },
             )
             if metrics is not None:

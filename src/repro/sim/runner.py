@@ -9,19 +9,18 @@ import numpy as np
 from ..exceptions import SimulationError
 from ..obs.tracer import as_tracer
 from ..types import LoadReport, LoadVector
-from .parallel import ParallelExecutor, resolve_seed
+from .parallel import map_blocks, resolve_seed
 
 __all__ = ["run_trials"]
 
 
 def run_trials(
-    block_task: Callable[[List[np.random.Generator]], Sequence[LoadVector]],
+    block_task: Callable[[range, List[np.random.Generator]], Sequence[LoadVector]],
     trials: int,
     seed: Optional[int] = None,
     label: str = "trial",
     metadata: Optional[Mapping[str, object]] = None,
     workers: int = 1,
-    executor: Optional[ParallelExecutor] = None,
     metrics=None,
     tracer=None,
     monitor=None,
@@ -31,10 +30,10 @@ def run_trials(
     Parameters
     ----------
     block_task:
-        Callable given the dedicated generators of a contiguous range of
-        trials, in trial order, and returning one
-        :class:`~repro.types.LoadVector` per generator (see
-        :meth:`~repro.sim.parallel.ParallelExecutor.map_blocks`; the
+        Called as ``block_task(trials, gens)`` with a contiguous range
+        of trial indices and their dedicated generators, in trial
+        order, and returning one :class:`~repro.types.LoadVector` per
+        generator (see :func:`~repro.sim.parallel.map_blocks`; the
         Monte-Carlo campaigns use the range to run their trials in
         lockstep).  Each trial must consume *only* its own generator
         for randomness, so trials stay independent and reproducible.
@@ -54,10 +53,6 @@ def run_trials(
         Worker processes: ``1`` (default) is the serial path, ``0``
         means one per CPU, ``n > 1`` fans trials out over ``n``
         processes.  The results are bit-identical for every value.
-    executor:
-        Pre-built :class:`~repro.sim.parallel.ParallelExecutor` to
-        reuse (e.g. to keep one warm pool across many sweep points);
-        overrides ``workers``.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`.  The campaign
         records per-trial normalized-max histograms and per-node load
@@ -81,15 +76,10 @@ def run_trials(
         raise SimulationError(f"need at least one trial, got {trials}")
     seed = resolve_seed(seed)
     tracer = as_tracer(tracer)
-    owns_executor = executor is None
-    if executor is None:
-        executor = ParallelExecutor(workers=workers)
-    try:
-        with tracer.span("trials"):
-            vectors = executor.map_blocks(block_task, trials, seed=seed, label=label)
-    finally:
-        if owns_executor:
-            executor.close()
+    with tracer.span("trials"):
+        vectors = map_blocks(
+            block_task, trials, seed=seed, label=label, workers=workers
+        )
     with tracer.span("report"):
         # Results are ordered by trial index, so the configuration check is
         # anchored to trial 0 — never to whichever trial finished first.

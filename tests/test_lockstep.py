@@ -39,7 +39,7 @@ from repro.obs.monitor import LoadMonitor, MonitorConfig
 from repro.rng import RngFactory, as_generator
 from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.config import SimulationConfig
-from repro.sim.parallel import ParallelExecutor
+from repro.sim.parallel import map_blocks
 from repro.sim.runner import run_trials
 from repro.workload.zipf import ZipfDistribution
 
@@ -342,7 +342,7 @@ class TestCampaignBlocks:
         )
 
 
-def _uniform_trials(sim, x, gens):
+def _uniform_trials(sim, x, trials, gens):
     return [sim.uniform_attack_trial(x, gen) for gen in gens]
 
 
@@ -387,32 +387,30 @@ class TestWorkerIdentity:
         assert serial[3]  # the monitor recorded every trial
 
 
-def _first_draws(gens):
-    return [float(gen.random()) for gen in gens]
+def _first_draws(trials, gens):
+    return [(t, float(gen.random())) for t, gen in zip(trials, gens)]
 
 
-def _short_block(gens):
-    return _first_draws(gens)[1:]
+def _short_block(trials, gens):
+    return _first_draws(trials, gens)[1:]
 
 
 class TestMapBlocks:
-    @pytest.mark.parametrize("workers,chunk_size", [(1, None), (2, None), (2, 3)])
-    def test_ranges_see_the_per_trial_streams(self, workers, chunk_size):
-        with ParallelExecutor(workers=workers, chunk_size=chunk_size) as executor:
-            draws = executor.map_blocks(_first_draws, 7, seed=4, label="b")
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ranges_see_the_per_trial_streams(self, workers):
+        draws = map_blocks(_first_draws, 7, seed=4, label="b", workers=workers)
         factory = RngFactory(4)
         assert draws == [
-            float(factory.generator("b", trial=t).random()) for t in range(7)
+            (t, float(factory.generator("b", trial=t).random())) for t in range(7)
         ]
 
     def test_rejects_a_wrong_outcome_count(self):
         with pytest.raises(SimulationError, match="2 outcomes for 3 trials"):
-            ParallelExecutor().map_blocks(_short_block, 3, seed=1)
+            map_blocks(_short_block, 3, seed=1)
 
     def test_rejects_unpicklable_tasks_in_parallel(self):
-        with ParallelExecutor(workers=2) as executor:
-            with pytest.raises(SimulationError, match="picklable"):
-                executor.map_blocks(lambda gens: gens, 4, seed=1)
+        with pytest.raises(SimulationError, match="picklable"):
+            map_blocks(lambda trials, gens: gens, 4, seed=1, workers=2)
 
 
 class TestCalibrationLockstep:

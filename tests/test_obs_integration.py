@@ -100,17 +100,13 @@ class TestWorkerInvariance:
         ).all()
         assert serial.snapshot() == parallel.snapshot()
 
-    def test_event_campaign_metrics_identical_serial_vs_parallel(self):
-        snapshots = []
-        for workers in (1, 2):
-            registry = MetricsRegistry()
-            run_event_campaign(
-                _params(), UniformDistribution(400), trials=4, n_queries=2000,
-                seed=9, workers=workers, cache_factory=_lru_factory,
-                metrics=registry,
-            )
-            snapshots.append(registry.snapshot())
-        assert snapshots[0] == snapshots[1]
+    # 5 trials split unevenly over 2 (3 + 2) and 3 (2 + 2 + 1) workers.
+    @pytest.mark.parametrize("trials,workers", [(4, 2), (5, 2), (5, 3)])
+    def test_event_campaign_metrics_identical_serial_vs_parallel(
+        self, trials, workers, every_sink_exports
+    ):
+        serial = every_sink_exports(trials, workers=1)
+        assert every_sink_exports(trials, workers) == serial
 
     def test_event_campaign_cache_counters_survive_the_merge(self):
         registry = MetricsRegistry()

@@ -173,6 +173,11 @@ class TestWorkerDeterminism:
         ]
         assert serial_lines == parallel_lines
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_uneven_ranges_with_every_sink(self, workers, every_sink_exports):
+        serial = every_sink_exports(5, workers=1)
+        assert every_sink_exports(5, workers)["events"] == serial["events"]
+
     def test_trials_arrive_in_order(self):
         monitor = self._campaign(workers=4)
         trials = [s["trial"] for s in monitor.summaries]

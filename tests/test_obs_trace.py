@@ -210,6 +210,11 @@ class TestWorkerInvariance:
         parallel.trace.write(b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_uneven_ranges_with_every_sink(self, workers, every_sink_exports):
+        serial = every_sink_exports(5, workers=1)
+        assert every_sink_exports(5, workers)["trace"] == serial["trace"]
+
     def test_trace_section_leaves_campaign_stats_unchanged(self):
         traced = run_scenario(_traced_spec())
         untraced_spec = _traced_spec()

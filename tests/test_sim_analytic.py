@@ -20,7 +20,7 @@ from repro.workload.zipf import ZipfDistribution
 
 def _each(trial_fn):
     """Block task running ``trial_fn`` once per generator."""
-    return lambda gens: [trial_fn(gen) for gen in gens]
+    return lambda trials, gens: [trial_fn(gen) for gen in gens]
 
 
 class TestRunTrials:
@@ -61,7 +61,7 @@ class TestRunTrials:
 
     def test_rejects_zero_trials(self):
         with pytest.raises(SimulationError):
-            run_trials(lambda gens: [], trials=0)
+            run_trials(lambda trials, gens: [], trials=0)
 
 
 class TestUniformAttack:

@@ -15,6 +15,17 @@ def _params():
     return SystemParameters(n=10, m=200, c=10, d=3, rate=2000.0)
 
 
+def _fingerprint(result):
+    return (
+        result.duration,
+        result.served.tolist(),
+        result.dropped.tolist(),
+        result.arrival_loads.loads.tolist(),
+        result.latency_p99,
+        result.cache_hit_rate,
+    )
+
+
 class TestRunEventCampaign:
     def test_aggregation_shapes(self):
         campaign = run_event_campaign(
@@ -96,6 +107,32 @@ class TestRunEventCampaign:
         )
         analytic = simulate_uniform_attack(params, x, trials=20, seed=4)
         assert campaign.load_report.mean == pytest.approx(analytic.mean, rel=0.3)
+
+    def test_unseeded_campaign_records_its_seed(self, monkeypatch):
+        from repro.cluster.cluster import Cluster
+
+        built = []
+        init = Cluster.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("seed"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cluster, "__init__", spy)
+        kwargs = dict(trials=3, n_queries=2000)
+        campaign = run_event_campaign(_params(), UniformDistribution(200), **kwargs)
+        seed = campaign.load_report.metadata["seed"]
+        assert isinstance(seed, int)
+        # Every trial's cluster comes from the one resolved seed ...
+        assert built == [seed + 1] * 3
+        # ... and a rerun with that seed reproduces every trial.
+        rerun = run_event_campaign(
+            _params(), UniformDistribution(200), seed=seed, **kwargs
+        )
+        assert rerun.load_report.metadata["seed"] == seed
+        assert [_fingerprint(r) for r in rerun.results] == [
+            _fingerprint(r) for r in campaign.results
+        ]
 
     def test_rejects_zero_trials(self):
         with pytest.raises(SimulationError):

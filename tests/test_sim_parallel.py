@@ -14,7 +14,7 @@ from repro.core.notation import SystemParameters
 from repro.exceptions import SimulationError
 from repro.sim.analytic import simulate_uniform_attack
 from repro.sim.batch import run_event_campaign
-from repro.sim.parallel import ParallelExecutor, resolve_seed, resolve_workers
+from repro.sim.parallel import map_blocks, resolve_seed, resolve_workers
 from repro.sim.runner import run_trials
 from repro.types import LoadVector
 from repro.workload.distributions import UniformDistribution
@@ -29,12 +29,15 @@ def _uniform_vector(gen):
     return LoadVector(loads=gen.random(8) + 0.1, total_rate=100.0)
 
 
-def _trial_index_vector(gen, trial):
-    """Encodes its trial index in the load so ordering is observable."""
-    del gen
-    loads = np.ones(4)
-    loads[0] = 10.0 + trial
-    return LoadVector(loads=loads, total_rate=100.0)
+def _trial_index_vectors(trials, gens):
+    """Encodes each trial index in the load so ordering is observable."""
+    del gens
+    vectors = []
+    for trial in trials:
+        loads = np.ones(4)
+        loads[0] = 10.0 + trial
+        vectors.append(LoadVector(loads=loads, total_rate=100.0))
+    return vectors
 
 
 def _drifting_vector(gen):
@@ -42,8 +45,9 @@ def _drifting_vector(gen):
     return LoadVector(loads=np.ones(4), total_rate=100.0 + gen.random())
 
 
-def _each(trial_fn, gens):
+def _each(trial_fn, trials, gens):
     """Block task running ``trial_fn`` once per generator."""
+    del trials
     return [trial_fn(gen) for gen in gens]
 
 
@@ -57,10 +61,16 @@ class TestResolvers:
         assert resolve_workers(1) == 1
         assert resolve_workers(3) == 3
 
-    def test_resolve_workers_zero_is_cpu_count(self):
+    def test_resolve_workers_zero_is_cpu_count(self, monkeypatch):
         import os
 
-        assert resolve_workers(0) == (os.cpu_count() or 1)
+        # The CPUs this process may use, not every CPU of the host ...
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert resolve_workers(0) == 2
+        # ... falling back to the host count where there is no affinity.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers(0) == 64
 
     def test_resolve_workers_rejects_negative(self):
         with pytest.raises(SimulationError):
@@ -79,46 +89,36 @@ class TestResolvers:
 
 
 class TestParallelExecutor:
+    """``map_blocks``, the one trial-dispatch entry point."""
+
     def test_results_come_back_in_trial_order(self):
-        with ParallelExecutor(workers=2, chunk_size=1) as executor:
-            vectors = executor.map_trials(
-                _trial_index_vector, trials=6, seed=7, pass_trial=True
-            )
+        vectors = map_blocks(_trial_index_vectors, 6, seed=7, workers=4)
         assert [v.loads[0] for v in vectors] == [10.0 + t for t in range(6)]
 
     def test_parallel_matches_serial_streams(self):
-        serial = ParallelExecutor(workers=1).map_trials(
-            _uniform_vector, trials=8, seed=11
-        )
-        with ParallelExecutor(workers=3) as executor:
-            parallel = executor.map_trials(_uniform_vector, trials=8, seed=11)
+        serial = map_blocks(_uniform_block, 8, seed=11)
+        parallel = map_blocks(_uniform_block, 8, seed=11, workers=3)
         for a, b in zip(serial, parallel):
             assert (a.loads == b.loads).all()
 
     def test_lambda_rejected_with_diagnosis(self):
-        with ParallelExecutor(workers=2) as executor:
-            with pytest.raises(SimulationError, match="picklable"):
-                executor.map_trials(lambda gen: None, trials=4, seed=1)
+        with pytest.raises(SimulationError, match="picklable"):
+            map_blocks(lambda trials, gens: gens, 4, seed=1, workers=2)
 
     def test_lambda_fine_when_serial(self):
-        vectors = ParallelExecutor(workers=1).map_trials(
-            lambda gen: LoadVector(loads=gen.random(3) + 0.1, total_rate=10.0),
-            trials=2,
+        vectors = map_blocks(
+            lambda trials, gens: [
+                LoadVector(loads=gen.random(3) + 0.1, total_rate=10.0)
+                for gen in gens
+            ],
+            2,
             seed=1,
         )
         assert len(vectors) == 2
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(SimulationError):
-            ParallelExecutor(workers=2, chunk_size=0)
-
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(SimulationError):
-            ParallelExecutor(workers=2, mp_context="teleport")
-
     def test_zero_trials_rejected(self):
         with pytest.raises(SimulationError):
-            ParallelExecutor().map_trials(_uniform_vector, trials=0, seed=1)
+            map_blocks(_uniform_block, 0, seed=1)
 
 
 class TestRunTrialsWorkers:
@@ -134,12 +134,6 @@ class TestRunTrialsWorkers:
         assert report.metadata["seed"] == 99
         report = run_trials(_uniform_block, trials=2, seed=None)
         assert isinstance(report.metadata["seed"], int)
-
-    def test_reused_executor_overrides_workers(self):
-        with ParallelExecutor(workers=2) as executor:
-            a = run_trials(_uniform_block, trials=4, seed=5, executor=executor)
-            b = run_trials(_uniform_block, trials=4, seed=5, workers=1)
-        assert (a.normalized_max_per_trial == b.normalized_max_per_trial).all()
 
 
 class TestEngineDeterminism:
