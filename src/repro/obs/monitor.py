@@ -34,7 +34,10 @@ Two ingestion paths share one monitor type:
 
 - **event path** (:class:`repro.sim.eventsim.EventDrivenSimulator`):
   :meth:`begin_run` / :meth:`record_request` / :meth:`finalize`; the
-  window clock is simulated seconds.
+  window clock is simulated seconds.  The batched kernel
+  (:mod:`repro.sim.kernel`) hands a whole run to :meth:`record_batch`
+  instead, which is bit-identical to the per-request loop; the legacy
+  scheduler (and every chaos run) stays on :meth:`record_request`.
 - **trial path** (:func:`repro.sim.runner.run_trials`):
   :meth:`record_trial` turns each trial's
   :class:`~repro.types.LoadVector` into one trial-clock window.
@@ -310,6 +313,7 @@ class LoadMonitor:
         self._cum_requests = 0
         self._cum_hits = 0
         self._cum_backend = 0
+        self._last_t = -math.inf
         self._run_windows = 0
         self._run_alerts = 0
         # Chaos (fault-injection) state; inert unless begin_run(chaos=True).
@@ -442,6 +446,7 @@ class LoadMonitor:
         self._cum_requests = 0
         self._cum_hits = 0
         self._cum_backend = 0
+        self._last_t = -math.inf
         self._run_windows = 0
         self._run_alerts = 0
         self._chaos_run = bool(chaos)
@@ -504,6 +509,121 @@ class LoadMonitor:
         else:
             self._cum_backend += 1
             self._cum_nodes[node] += 1
+
+    def record_batch(
+        self,
+        times: np.ndarray,
+        keys: np.ndarray,
+        nodes: np.ndarray,
+        layers: Optional[np.ndarray] = None,
+        shards: Optional[np.ndarray] = None,
+    ) -> None:
+        """Ingest a block of requests; equals a :meth:`record_request` loop.
+
+        Request ``i`` arrived at ``times[i]`` for ``keys[i]`` and was
+        forwarded to back-end node ``nodes[i]``, or absorbed by the
+        front-end cache when ``nodes[i]`` is negative.  On hierarchy
+        runs ``layers`` / ``shards`` give the ``(layer, shard)`` that
+        served each hit (entries at misses are ignored).  Times must
+        be non-decreasing, also across calls; one run may be split
+        over several calls.
+
+        Each simulated-time window is one slice of the arrays: its
+        node, layer and shard counts come from ``bincount``, its
+        entropy from :meth:`StreamingEntropy.update_batch`, and the
+        cumulative counters advance window by window, so every
+        ``running_gain`` read at a close sees exactly what the
+        per-request loop would.  Chaos runs interleave fault
+        transitions with requests and stay on :meth:`record_request`.
+        """
+        if not self._run_open:
+            raise ConfigurationError(
+                "record_batch called with no open run; begin_run() first"
+            )
+        if self._chaos_run:
+            raise ConfigurationError(
+                "record_batch cannot ingest a chaos run; fault transitions "
+                "interleave with requests, so use record_request"
+            )
+        if (layers is None) != (shards is None):
+            raise ConfigurationError("record_batch needs layers and shards together")
+        times = np.asarray(times, dtype=float)
+        keys = np.asarray(keys, dtype=np.int64)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        paths = () if layers is None else (
+            np.asarray(layers, dtype=np.int64), np.asarray(shards, dtype=np.int64)
+        )
+        shapes = [a.shape for a in (times, keys, nodes, *paths)]
+        if times.ndim != 1 or len(set(shapes)) != 1:
+            raise ConfigurationError(
+                f"record_batch needs equal-length 1-d arrays, got shapes {shapes}"
+            )
+        size = times.size
+        if size == 0:
+            return
+        if times[0] < self._last_t or bool((times[1:] < times[:-1]).any()):
+            raise ConfigurationError(
+                "record_batch needs non-decreasing times (simulated-time order)"
+            )
+        self._last_t = float(times[-1])
+        hit = nodes < 0
+        tree = self._layers is not None and layers is not None
+        if tree:
+            layers, shards = paths
+        width = self._config.window
+        # np.floor_divide on floats is Python's float ``//``.
+        index = np.floor_divide(times, width)
+        starts = np.flatnonzero(index[1:] != index[:-1]) + 1
+        bounds = [0, *starts.tolist(), size]
+        window_ids = index[bounds[:-1]].astype(np.int64).tolist()
+        for lo, hi, window_id in zip(bounds[:-1], bounds[1:], window_ids):
+            acc = self._acc
+            if acc is None or acc.index != window_id:
+                self._close_window()
+                acc = self._acc = WindowAccumulator(window_id, width, self._n)
+            win_hit = hit[lo:hi]
+            requests = hi - lo
+            hits = int(win_hit.sum())
+            acc.requests += requests
+            acc.hits += hits
+            acc.backend += requests - hits
+            acc.entropy.update_batch(keys[lo:hi])
+            self._cum_requests += requests
+            self._cum_hits += hits
+            self._cum_backend += requests - hits
+            if hits < requests:
+                counts = np.bincount(nodes[lo:hi][~win_hit], minlength=self._n)
+                acc.node_counts += counts
+                self._cum_nodes += counts
+            if tree and hits:
+                self._record_layer_hits(
+                    acc, keys[lo:hi][win_hit], layers[lo:hi][win_hit],
+                    shards[lo:hi][win_hit],
+                )
+
+    def _record_layer_hits(
+        self,
+        acc: WindowAccumulator,
+        keys: np.ndarray,
+        layers: np.ndarray,
+        shards: np.ndarray,
+    ) -> None:
+        """Per-layer and per-shard hit counts of one window's tree hits."""
+        per_layer = np.bincount(layers, minlength=len(self._layers)).tolist()
+        for layer, hits in enumerate(per_layer):
+            if not hits:
+                continue
+            acc.layer_hits[layer] = acc.layer_hits.get(layer, 0) + hits
+            self._cum_layer_hits[layer] += hits
+            served = layers == layer
+            self._layer_keys[layer].update(keys[served].tolist())
+            shard_hits = np.bincount(
+                shards[served], minlength=self._layers[layer]
+            ).tolist()
+            self._cum_shard_hits[layer] = [
+                total + count
+                for total, count in zip(self._cum_shard_hits[layer], shard_hits)
+            ]
 
     def record_node_event(self, t: float, node: int, up: bool) -> None:
         """Ingest one fault-injector transition (chaos runs only).
@@ -853,6 +973,9 @@ class NullMonitor(LoadMonitor):
         pass
 
     def record_request(self, t, key, node=None, layer=None, shard=None) -> None:
+        pass
+
+    def record_batch(self, times, keys, nodes, layers=None, shards=None) -> None:
         pass
 
     def record_node_event(self, t, node, up) -> None:

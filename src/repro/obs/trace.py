@@ -105,24 +105,25 @@ class HashSampler:
         return int.from_bytes(digest, "little") < self._cut
 
     def mask(self, keys: np.ndarray, start: int = 0) -> np.ndarray:
-        """Vectorised admit decisions for a key stream."""
+        """Vectorised admit decisions for a key stream.
+
+        ``mask(keys, start)[j] == admit(keys[j], start + j)``: one keyed
+        hash state is built once and copied per request, and the
+        digests are decoded together as little-endian ``uint64``.
+        """
         if self._sample >= 1.0:
             return np.ones(len(keys), dtype=bool)
         if self._cut <= 0:
             return np.zeros(len(keys), dtype=bool)
-        mac, pack, cut = self._key, _PACK, self._cut
-        return np.fromiter(
-            (
-                int.from_bytes(
-                    blake2b(pack(i, int(k)), digest_size=8, key=mac).digest(),
-                    "little",
-                )
-                < cut
-                for i, k in enumerate(keys.tolist(), start)
-            ),
-            dtype=bool,
-            count=len(keys),
-        )
+        keyed = blake2b(digest_size=8, key=self._key).copy
+        pack = _PACK
+        digests = bytearray()
+        extend = digests.extend
+        for i, k in enumerate(np.asarray(keys).tolist(), start):
+            h = keyed()
+            h.update(pack(i, k))
+            extend(h.digest())
+        return np.frombuffer(digests, dtype="<u8") < np.uint64(self._cut)
 
 
 class StrideSampler:

@@ -10,7 +10,10 @@ hosts, runs and worker counts.  Two pieces live here:
   identity ``H = ln(total) - (1/total) * sum_i c_i ln c_i``
   incrementally, so the streamed normalised entropy equals the batch
   ``profile_counts`` value exactly (up to float associativity) — the
-  parity the contract tests pin down.
+  parity the contract tests pin down.  :meth:`StreamingEntropy.
+  update_batch` ingests a whole key array with the same float
+  operations in the same order, so it is bit-identical to a loop of
+  :meth:`StreamingEntropy.update` calls.
 - :class:`WindowAccumulator` — one window's worth of counters: request
   and hit totals, per-node backend arrivals, and the entropy state.
 
@@ -79,6 +82,45 @@ class StreamingEntropy:
         self._total += 1
         if new > self._max_count:
             self._max_count = new
+
+    def update_batch(self, keys: np.ndarray) -> None:
+        """Record every key of ``keys`` in order; equals a loop of :meth:`update`.
+
+        A stable argsort gives each occurrence its prior count.  The
+        deltas come from a ``c ln c`` table built with :func:`math.log`
+        (not :func:`numpy.log`, whose SIMD path may round differently in
+        the last ulp) and are added onto the running sum by a sequential
+        :func:`numpy.cumsum` (not the pairwise :func:`numpy.sum`), so
+        every rounding step matches the scalar loop.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        size = keys.size
+        if size == 0:
+            return
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        runs = np.diff(np.append(starts, size))
+        counts = self._counts
+        unique = ranked[starts].tolist()
+        before = [counts.get(key, 0) for key in unique]
+        after = [count + run for count, run in zip(before, runs.tolist())]
+        top = max(after)
+        # Prior count of each occurrence: the key's count before the
+        # batch plus its rank among the batch's earlier occurrences.
+        prior = np.empty(size, dtype=np.int64)
+        prior[order] = np.arange(size) - np.repeat(starts - np.array(before), runs)
+        clogc = np.array([0.0] + [c * math.log(c) for c in range(1, top + 1)])
+        # A first occurrence contributes 1 ln 1 - 0 = 0.0, which leaves
+        # the (non-negative) running sum unchanged, as update's skip does.
+        deltas = clogc[prior + 1] - clogc[prior]
+        self._sum_clogc = float(
+            np.cumsum(np.concatenate(([self._sum_clogc], deltas)))[-1]
+        )
+        counts.update(zip(unique, after))
+        self._total += size
+        if top > self._max_count:
+            self._max_count = top
 
     @property
     def entropy(self) -> float:

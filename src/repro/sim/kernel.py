@@ -15,9 +15,15 @@ before the first event fires, so this kernel resolves them in bulk:
   the keys in arrival order, which leaves the cache in exactly the state
   the legacy event loop leaves it in;
 - **routing** — replica groups gathered per unique key, pin assignments
-  resolved in first-appearance order (mutating the simulator's sticky
-  pin state exactly like the legacy path), random picks drawn as one
-  ``integers(0, d, size=n_miss)`` batch;
+  resolved in first-appearance order over scalar Python ints (least
+  pinned member, the first group member wins ties; mutating the
+  simulator's sticky pin state exactly like the legacy path), random
+  picks drawn as one ``integers(0, d, size=n_miss)`` batch;
+- **observation** — the monitor ingests the whole run in one
+  :meth:`~repro.obs.monitor.LoadMonitor.record_batch` call (per-window
+  ``bincount`` counts, batch streaming entropy), and the flight
+  recorder's sample mask hashes each request from one pre-keyed
+  BLAKE2b state; neither has a per-request Python call into the sink;
 - **service times** — one ``standard_exponential`` batch per node
   (scaled by ``1/rate``), consumed in service-start order;
 - **queueing** — per node, a tight loop over primitive floats applying
@@ -54,6 +60,9 @@ from .queueing import DEFAULT_LATENCY_SAMPLE_LIMIT
 
 __all__ = ["supports", "run_fast"]
 
+#: Newly pinned keys resolved per block of the pin loop.
+_PIN_BLOCK = 4096
+
 
 def supports(sim) -> bool:
     """Whether the batched kernel can replay ``sim`` exactly.
@@ -76,8 +85,8 @@ def _static_hits(cache, keys: np.ndarray) -> np.ndarray:
 
 def _resolve_hits(
     cache, keys: np.ndarray, layered: bool
-) -> Tuple[np.ndarray, Optional[List[Optional[Tuple[int, int]]]]]:
-    """Hit mask of the key stream, and each request's tree path if layered.
+) -> Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """Hit mask of the key stream, and each hit's tree path if layered.
 
     A flat cache with ``STATIC_RESIDENCY`` takes the vectorized
     membership test and has its counters bumped here, as its
@@ -86,8 +95,9 @@ def _resolve_hits(
     — gets one ``access`` per key in arrival order, the exact call
     sequence of the legacy event loop; ``access`` keeps
     :class:`~repro.cache.base.CacheStats` itself.  For a layered tree
-    the second value holds ``cache.last_hit`` per request (``None`` on
-    a miss); otherwise it is ``None``.
+    the second value holds the ``(layer, shard)`` of ``cache.last_hit``
+    per request as two arrays (``-1`` on a miss); otherwise it is
+    ``None``.
     """
     if getattr(cache, "STATIC_RESIDENCY", False) and not getattr(
         cache, "HIERARCHICAL", False
@@ -101,10 +111,15 @@ def _resolve_hits(
     if not layered:
         return np.array([access(key) for key in keys.tolist()], dtype=bool), None
     hits: List[bool] = []
-    paths: List[Optional[Tuple[int, int]]] = []
+    layers: List[int] = []
+    shards: List[int] = []
     for key in keys.tolist():
-        hits.append(access(key))
-        paths.append(cache.last_hit)
+        hit = access(key)
+        hits.append(hit)
+        layer, shard = cache.last_hit if hit else (-1, -1)
+        layers.append(layer)
+        shards.append(shard)
+    paths = (np.array(layers, dtype=np.int64), np.array(shards, dtype=np.int64))
     return np.array(hits, dtype=bool), paths
 
 
@@ -117,9 +132,12 @@ def _route_batch(
     routing draws its uniform picks as one batch — element-for-element
     the same stream a per-request ``integers(0, d)`` loop consumes.
     Pin routing replays the legacy first-sight rule (least-pinned group
-    member wins, lowest index on ties) over unique keys in order of
-    first appearance, mutating the simulator's persistent pin state so
-    later runs on the same instance see identical stickiness.
+    member wins, the first group member wins ties) over unique keys in
+    order of first appearance, mutating the simulator's persistent pin
+    state so later runs on the same instance see identical stickiness.
+    The pin loop works on scalar Python ints: a strict ``<`` scan keeps
+    ``np.argmin``'s first-minimum choice, and the counts are written
+    back into ``sim._pin_counts`` in place.
     """
     cluster = sim._cluster
     if sim._routing == "random":
@@ -132,23 +150,28 @@ def _route_batch(
         miss_keys, return_index=True, return_inverse=True
     )
     pins = sim._pins
-    pin_counts = sim._pin_counts
-    unseen = [
-        (int(first_idx[i]), int(unique[i]))
-        for i in range(unique.size)
-        if int(unique[i]) not in pins
-    ]
-    if unseen:
-        unseen.sort()
-        new_keys = np.array([key for _, key in unseen], dtype=np.int64)
+    unique_keys = unique.tolist()
+    unseen = np.flatnonzero(np.fromiter(
+        (key not in pins for key in unique_keys), dtype=bool, count=unique.size
+    ))
+    if unseen.size:
+        new_keys = unique[unseen[np.argsort(first_idx[unseen])]]
         groups = cluster.partitioner.replica_groups(new_keys)
-        for key, group in zip(new_keys.tolist(), groups):
-            counts = pin_counts[group]
-            pinned = int(group[int(np.argmin(counts))])
-            pins[key] = pinned
-            pin_counts[pinned] += 1
+        counts = sim._pin_counts.tolist()
+        # Row blocks bound the Python-int copies of the groups.
+        for lo in range(0, new_keys.size, _PIN_BLOCK):
+            hi = lo + _PIN_BLOCK
+            for key, group in zip(new_keys[lo:hi].tolist(), groups[lo:hi].tolist()):
+                pinned = group[0]
+                least = counts[pinned]
+                for node in group[1:]:
+                    if counts[node] < least:
+                        pinned, least = node, counts[node]
+                pins[key] = pinned
+                counts[pinned] = least + 1
+        sim._pin_counts[:] = counts
     assigned = np.fromiter(
-        (pins[int(key)] for key in unique), dtype=np.int64, count=unique.size
+        (pins[key] for key in unique_keys), dtype=np.int64, count=unique.size
     )
     return assigned[inverse]
 
@@ -269,24 +292,10 @@ def run_fast(sim, n_queries: int, trial: int):
                 node_arrivals = np.zeros(n, dtype=np.int64)
         if monitor is not None:
             with tracer.span("kernel-monitor"):
-                node_iter = iter(nodes.tolist())
-                record = monitor.record_request
-                if paths is None:
-                    for t, key, hit in zip(
-                        times.tolist(), keys.tolist(), hit_mask.tolist()
-                    ):
-                        if hit:
-                            record(t, key)
-                        else:
-                            record(t, key, next(node_iter))
-                else:
-                    for t, key, path in zip(
-                        times.tolist(), keys.tolist(), paths
-                    ):
-                        if path is None:
-                            record(t, key, next(node_iter))
-                        else:
-                            record(t, key, layer=path[0], shard=path[1])
+                request_nodes = np.full(n_queries, -1, dtype=np.int64)
+                request_nodes[~hit_mask] = nodes
+                layers, shards = (None, None) if paths is None else paths
+                monitor.record_batch(times, keys, request_nodes, layers, shards)
         with tracer.span("kernel-queues"):
             served = np.zeros(n, dtype=np.int64)
             dropped = np.zeros(n, dtype=np.int64)
@@ -339,7 +348,8 @@ def run_fast(sim, n_queries: int, trial: int):
                     key = int(keys[i])
                     if hit_mask[i]:
                         layer, shard = (
-                            (None, None) if paths is None else paths[i]
+                            (None, None) if paths is None
+                            else (int(paths[0][i]), int(paths[1][i]))
                         )
                         recorder.record_hit(t, key, i, layer=layer, shard=shard)
                         continue

@@ -10,7 +10,9 @@ Three acceptance properties anchor the suite:
    fingerprint from a benign Zipf baseline.
 
 Plus the streaming/batch entropy parity the windows module promises,
-and the smaller pieces (P² sketches, event-log roundtrip, bound
+exact parity of the batch ingest (``record_batch`` /
+``StreamingEntropy.update_batch``) with the per-request path, and the
+smaller pieces (P² sketches, event-log roundtrip, bound
 computation, the null monitor).
 """
 
@@ -19,6 +21,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import detection
 from repro.core.bounds import fold_constant_k
@@ -343,6 +347,222 @@ class TestP2Sketch:
         for v in (3.0, 1.0, 2.0):
             sketch.observe(v)
         assert sketch.result() == 2.0
+
+
+_BATCH_N = 12
+#: Not a binary fraction, so boundary times exercise float ``//``.
+_BATCH_WINDOW = 0.1
+
+
+def _entropy_state(stream):
+    return (
+        stream._counts, stream._total, stream._sum_clogc, stream._max_count,
+        repr(stream.normalized_entropy), repr(stream.top_key_share),
+    )
+
+
+def _ingest(batches, *, batched, layers=None, split_at=()):
+    """Feed one run to a fresh monitor; returns everything it exposes.
+
+    ``batches`` holds ``(t, key, node, layer, shard)`` rows (``node``
+    negative for a hit).  ``batched`` sends the rows through
+    ``record_batch`` (split into one call per ``split_at`` cut),
+    otherwise through a ``record_request`` loop.
+    """
+    calls = []
+    metrics = MetricsRegistry()
+    monitor = LoadMonitor(
+        MonitorConfig(
+            window=_BATCH_WINDOW, n=_BATCH_N, rate=40.0, c=2, d=3, x=5,
+            entropy_min_keys=2, overload_factor=1.5,
+        ),
+        metrics=metrics,
+        on_window=lambda rec: calls.append(("window", rec["index"])),
+        on_alert=lambda rec: calls.append(("alert", rec["rule"])),
+    )
+    monitor.begin_run(trial=3, layers=layers)
+    rows = list(batches)
+    if batched:
+        cuts = [0, *split_at, len(rows)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            part = rows[lo:hi]
+            times = np.array([row[0] for row in part], dtype=float)
+            keys, nodes, layer_col, shard_col = (
+                np.array([row[j] for row in part], dtype=np.int64)
+                for j in range(1, 5)
+            )
+            if layers is None:
+                layer_col = shard_col = None
+            monitor.record_batch(times, keys, nodes, layer_col, shard_col)
+    else:
+        for t, key, node, layer, shard in rows:
+            if node >= 0:
+                monitor.record_request(t, key, node)
+            elif layers is None:
+                monitor.record_request(t, key)
+            else:
+                monitor.record_request(t, key, layer=layer, shard=shard)
+    duration = rows[-1][0] + 0.01 if rows else 1.0
+    monitor.finalize(duration)
+    return repr((
+        monitor.windows, monitor.alerts, monitor.summaries,
+        monitor.node_load_estimates(), monitor.gain_estimates(),
+        monitor.events.records, metrics.snapshot(), calls,
+    ))
+
+
+@st.composite
+def _request_rows(draw, layered=False):
+    size = draw(st.integers(min_value=0, max_value=120))
+    # Zero and whole-window gaps make times repeat and sit on k * window
+    # boundaries (as sums, which may round either side of them).
+    steps = draw(st.lists(
+        st.sampled_from([0.0, _BATCH_WINDOW, 0.013, 0.07, 0.4]),
+        min_size=size, max_size=size,
+    ))
+    times = np.cumsum([0.0] + steps[:-1]).tolist() if size else []
+    rows = []
+    for t in times:
+        key = draw(st.integers(min_value=0, max_value=9))
+        node = draw(st.integers(min_value=-1, max_value=_BATCH_N - 1))
+        layer = draw(st.integers(min_value=0, max_value=1)) if layered else -1
+        shard = draw(st.integers(min_value=0, max_value=1 + layer)) if layered else -1
+        rows.append((t, key, node if node >= 0 else -1,
+                     layer if node < 0 else -1, shard if node < 0 else -1))
+    return rows
+
+
+class TestBatchIngestParity:
+    """``record_batch`` / ``update_batch`` equal the per-request path exactly."""
+
+    @given(
+        before=st.lists(st.integers(-3, 40), max_size=60),
+        batch=st.lists(st.integers(-3, 40), max_size=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_update_batch_equals_sequential_updates(self, before, batch):
+        looped, batched = StreamingEntropy(), StreamingEntropy()
+        for key in before:
+            looped.update(key)
+            batched.update(key)
+        for key in batch:
+            looped.update(key)
+        batched.update_batch(np.array(batch, dtype=np.int64))
+        assert _entropy_state(batched) == _entropy_state(looped)
+
+    def test_update_batch_on_long_runs_of_one_key(self):
+        """Key 7 ends at count 9170, where ``c * np.log(c)`` and
+        ``c * math.log(c)`` differ in the last ulp on x86-64 numpy."""
+        keys = np.array([7] * 6000 + [1, 2] * 300 + [7] * 3170, dtype=np.int64)
+        looped, batched = StreamingEntropy(), StreamingEntropy()
+        for key in keys.tolist():
+            looped.update(key)
+        batched.update_batch(keys[:4000])
+        batched.update_batch(keys[4000:])
+        assert _entropy_state(batched) == _entropy_state(looped)
+
+    @given(rows=_request_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_record_batch_equals_record_request_loop(self, rows):
+        assert _ingest(rows, batched=True) == _ingest(rows, batched=False)
+
+    @given(rows=_request_rows(), cut=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_one_stream_split_across_calls(self, rows, cut):
+        split = int(cut * len(rows))
+        assert _ingest(rows, batched=True, split_at=(split,)) == _ingest(
+            rows, batched=False
+        )
+
+    @given(rows=_request_rows(layered=True))
+    @settings(max_examples=40, deadline=None)
+    def test_layered_tree_paths(self, rows):
+        layers = (2, 3)
+        assert _ingest(rows, batched=True, layers=layers) == _ingest(
+            rows, batched=False, layers=layers
+        )
+
+    def test_times_on_window_boundaries(self):
+        """``k * window`` and the literal ``k / 10`` (0.3 // 0.1 == 2.0)."""
+        times = sorted(
+            t for k in range(40) for t in (k * _BATCH_WINDOW, k / 10, k / 10)
+        )
+        rows = [
+            (t, i % 4, (i * 5) % _BATCH_N if i % 3 else -1, -1, -1)
+            for i, t in enumerate(times)
+        ]
+        assert _ingest(rows, batched=True, split_at=(7, 8, 60)) == _ingest(
+            rows, batched=False
+        )
+
+    def test_empty_batch_changes_nothing(self):
+        rows = [(0.1 * i, i % 5, i % _BATCH_N, -1, -1) for i in range(30)]
+        assert _ingest(rows, batched=True, split_at=(0, 15, 15, 30)) == _ingest(
+            rows, batched=False
+        )
+
+    def test_fast_kernel_uses_the_batch_ingest(self, monkeypatch):
+        """The kernel never falls back to the per-request monitor call."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-request monitor call on the fast kernel")
+
+        monkeypatch.setattr(LoadMonitor, "record_request", refuse)
+        monitor = LoadMonitor(MonitorConfig.from_params(PARAMS, x=500, window=0.05))
+        EventDrivenSimulator(
+            PARAMS, AdversarialDistribution(PARAMS.m, 500), seed=SEED,
+            monitor=monitor, engine="fast",
+        ).run(4_000)
+        assert monitor.summaries[-1]["requests"] == 4_000
+
+
+class TestBatchIngestFailsLoudly:
+    def _open(self, chaos=False):
+        monitor = LoadMonitor(MonitorConfig(window=0.1, n=4, rate=10.0))
+        monitor.begin_run(chaos=chaos)
+        return monitor
+
+    @staticmethod
+    def _arrays(times):
+        size = len(times)
+        return (np.array(times, dtype=float), np.zeros(size, dtype=np.int64),
+                np.full(size, -1, dtype=np.int64))
+
+    def test_no_open_run(self):
+        monitor = LoadMonitor(MonitorConfig(window=0.1, n=4, rate=10.0))
+        with pytest.raises(ConfigurationError, match="no open run"):
+            monitor.record_batch(*self._arrays([0.0]))
+        monitor.begin_run()
+        monitor.finalize(1.0)
+        with pytest.raises(ConfigurationError, match="no open run"):
+            monitor.record_batch(*self._arrays([0.0]))
+
+    def test_chaos_run(self):
+        with pytest.raises(ConfigurationError, match="chaos"):
+            self._open(chaos=True).record_batch(*self._arrays([0.0]))
+
+    def test_mismatched_lengths(self):
+        times, keys, nodes = self._arrays([0.0, 0.1, 0.2])
+        monitor = self._open()
+        with pytest.raises(ConfigurationError, match="equal-length"):
+            monitor.record_batch(times, keys[:2], nodes)
+        with pytest.raises(ConfigurationError, match="equal-length"):
+            monitor.record_batch(times, keys, nodes, nodes, nodes[:1])
+        with pytest.raises(ConfigurationError, match="together"):
+            monitor.record_batch(times, keys, nodes, layers=nodes)
+
+    def test_decreasing_times(self):
+        monitor = self._open()
+        with pytest.raises(ConfigurationError, match="non-decreasing"):
+            monitor.record_batch(*self._arrays([0.0, 0.2, 0.1]))
+        monitor.record_batch(*self._arrays([0.0, 0.05]))
+        with pytest.raises(ConfigurationError, match="non-decreasing"):
+            monitor.record_batch(*self._arrays([0.04]))
+
+    def test_null_monitor_batch_is_a_no_op(self):
+        NULL_MONITOR.record_batch(*self._arrays([0.2, 0.1]))
+        assert NULL_MONITOR.windows == []
+        assert NULL_MONITOR.events.records == []
 
 
 class TestNullMonitor:

@@ -92,6 +92,28 @@ class TestHashSampler:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        keys=st.lists(
+            st.one_of(
+                st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 1]),
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            ),
+            max_size=60,
+        ),
+        start=st.integers(min_value=1, max_value=2**40),
+        sample=st.sampled_from([0.0, 1e-3, 0.5, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mask_equals_scalar_admit(self, seed, keys, start, sample):
+        """The batched mask is ``admit`` at each stream position."""
+        sampler = HashSampler(seed, sample, trial=seed % 7)
+        mask = sampler.mask(np.array(keys, dtype=np.int64), start)
+        assert mask.dtype == bool and mask.shape == (len(keys),)
+        assert mask.tolist() == [
+            sampler.admit(key, start + j) for j, key in enumerate(keys)
+        ]
+
     def test_edge_rates(self):
         keys = np.arange(100, dtype=np.int64)
         assert HashSampler(1, 1.0).mask(keys).all()
