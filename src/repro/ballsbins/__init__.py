@@ -12,7 +12,7 @@ the least loaded of ``d`` random bins).  This subpackage provides:
   empirical calibration of the Theta(1) constant ``k'``.
 """
 
-from .allocation import d_choice_allocate, one_choice_allocate, replica_group_allocate
+from .allocation import d_choice_allocate, one_choice_allocate
 from .bounds import d_choice_max_load_bound, max_load_bound, one_choice_max_load_bound
 from .occupancy import (
     OccupancyStats,
@@ -24,7 +24,6 @@ from .occupancy import (
 __all__ = [
     "one_choice_allocate",
     "d_choice_allocate",
-    "replica_group_allocate",
     "one_choice_max_load_bound",
     "d_choice_max_load_bound",
     "max_load_bound",

@@ -18,11 +18,10 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..rng import RngFactory
 from .allocation import (
-    LockstepStore,
+    ReplicaGroupStream,
     _check,
-    lockstep_block_size,
+    lockstep_greedy,
     one_choice_allocate,
-    sample_replica_groups,
 )
 
 __all__ = [
@@ -91,31 +90,29 @@ def max_occupancy_trials(
 
     Returns a length-``trials`` integer array; trial ``t`` uses an
     independent RNG stream derived from ``seed`` so runs are
-    reproducible yet uncorrelated.  For ``d >= 2`` the trials run in
-    lockstep blocks (:class:`~repro.ballsbins.allocation.LockstepStore`
-    with unit balls); each maximum equals what
+    reproducible yet uncorrelated.  For ``d >= 2`` every trial runs in
+    one lockstep block (:func:`~repro.ballsbins.allocation.lockstep_greedy`
+    over each trial's
+    :class:`~repro.ballsbins.allocation.ReplicaGroupStream`, unit
+    balls); each maximum equals what
     :func:`~repro.ballsbins.allocation.d_choice_allocate` returns for
     that trial's stream alone.
     """
     if trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials}")
     factory = RngFactory(seed)
-    maxima = np.empty(trials, dtype=np.int64)
     if d == 1:
+        maxima = np.empty(trials, dtype=np.int64)
         for t in range(trials):
             gen = factory.generator("ballsbins", trial=t)
             maxima[t] = one_choice_allocate(balls, bins, rng=gen).max()
         return maxima
     _check(balls, bins, d)
-    size = lockstep_block_size(balls, bins, d)
-    for lo in range(0, trials, size):
-        block = range(lo, min(trials, lo + size))
-        store = LockstepStore(balls, len(block), d, bins)
-        for t in block:
-            gen = factory.generator("ballsbins", trial=t)
-            store.add(sample_replica_groups(balls, bins, d, rng=gen))
-        maxima[lo : block.stop] = store.greedy().max(axis=1)
-    return maxima
+    streams = [
+        ReplicaGroupStream(balls, bins, d, rng=factory.generator("ballsbins", trial=t))
+        for t in range(trials)
+    ]
+    return lockstep_greedy(streams).max(axis=1)
 
 
 def calibrate_k_prime(

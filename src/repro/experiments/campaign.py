@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
+from ..sim.parallel import resolve_seed
 from .fig3 import run_fig3a, run_fig3b
 from .fig4 import run_fig4
 from .fig5 import run_fig5
@@ -36,17 +37,22 @@ FIGURE_DRIVERS: Dict[str, Callable[..., ExperimentResult]] = {
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """All figure results plus timing, renderable as one document."""
+    """All figure results plus timing, renderable as one document.
+
+    ``seed`` is the root seed every figure ran with — drawn once when
+    the caller gave none — so ``--seed`` reruns reproduce the tables.
+    """
 
     results: Tuple[ExperimentResult, ...]
     elapsed_seconds: float
     trials: int
+    seed: int
 
     def render(self) -> str:
         """Markdown-ish full report."""
         parts = [
             "# Secure Cache Provision — full evaluation run",
-            f"(trials per sweep point: {self.trials}; "
+            f"(trials per sweep point: {self.trials}; seed: {self.seed}; "
             f"wall clock: {self.elapsed_seconds:.1f}s)",
             "",
         ]
@@ -83,7 +89,8 @@ def run_campaign(
     trials:
         Trials per sweep point (paper scale: 200).
     seed:
-        Root seed shared by every figure.
+        Root seed shared by every figure; ``None`` draws one (recorded
+        in the result and printed in its report).
     figures:
         Subset of :data:`FIGURE_DRIVERS` keys, in the order to run.
     progress:
@@ -113,6 +120,7 @@ def run_campaign(
         raise ConfigurationError(
             f"unknown figures {unknown}; available: {sorted(FIGURE_DRIVERS)}"
         )
+    seed = resolve_seed(seed)
     results: List[ExperimentResult] = []
     started = time.monotonic()
     for figure in figures:
@@ -128,6 +136,7 @@ def run_campaign(
         results=tuple(results),
         elapsed_seconds=time.monotonic() - started,
         trials=trials,
+        seed=seed,
     )
 
 

@@ -14,11 +14,11 @@ perfect front-end cache absorbing the distribution's true top-``c``.
 Both campaigns hand :func:`~repro.sim.runner.run_trials` a *block
 task*: it receives a contiguous range of trials and their generators
 (every trial serially, one range per worker otherwise).  Chaos-free
-``least-loaded`` campaigns split that range into lockstep blocks sized
-by a memory budget: every trial draws its rates and replica groups
-from its own stream, in the per-trial order, into a compact
-:class:`~repro.ballsbins.allocation.LockstepStore`, and one greedy step
-then places ball ``k`` of every trial of the block at once.  Each
+``least-loaded`` campaigns run that range as one lockstep block: every
+trial draws its rates and replica groups from its own stream, in the
+per-trial order, into a
+:class:`~repro.ballsbins.allocation.ReplicaGroupStream`, and one greedy
+step then places ball ``k`` of every trial of the block at once.  Each
 trial's load vector is bit-identical to
 :meth:`~repro.cluster.selection.LeastLoadedKeyPinning.node_loads` over
 that trial alone (see ``docs/PERFORMANCE.md``, "Trial-axis lockstep").
@@ -36,8 +36,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ballsbins.allocation import (
-    LockstepStore,
+    ReplicaGroupStream,
     lockstep_block_size,
+    lockstep_greedy,
     sample_replica_groups,
 )
 from ..cluster.failures import degrade_groups, sample_failures
@@ -169,36 +170,34 @@ class MonteCarloSimulator:
     ) -> List[LoadVector]:
         """Greedy least-loaded placement of every trial in ``gens``.
 
-        Trials run in lockstep blocks sized by
-        :func:`~repro.ballsbins.allocation.lockstep_block_size`.  Each
-        trial draws its rates (``trial_rates``, unless one ``rates``
-        vector serves every trial) and then its groups from its own
-        generator, in the per-trial order, and its groups go straight
-        into the block's compact store.
+        Every trial draws its rates (``trial_rates``, unless one
+        ``rates`` vector serves every trial) and then its groups from
+        its own generator, in the per-trial order; its groups become a
+        :class:`~repro.ballsbins.allocation.ReplicaGroupStream`.  The
+        trials run as one lockstep block, or — when each has its own
+        rates — in blocks of
+        :func:`~repro.ballsbins.allocation.lockstep_block_size` trials.
         """
         params = self._config.params
         tracer = as_tracer(self._config.tracer)
-        weight_bytes = 0 if rates is not None else np.dtype(float).itemsize
-        size = lockstep_block_size(balls, params.n, params.d, weight_bytes)
+        size = max(1, len(gens))
+        if trial_rates is not None:
+            size = lockstep_block_size(balls)
         vectors: List[LoadVector] = []
         for lo in range(0, len(gens), size):
             block_gens = gens[lo : lo + size]
-            store = LockstepStore(
-                balls, len(block_gens), params.d, params.n,
-                weights=rates, trial_weights=rates is None,
-            )
-            for gen in block_gens:
-                own_rates = None
+            weights = rates
+            if trial_rates is not None:
+                weights = np.empty((balls, len(block_gens)))
+            streams = []
+            for t, gen in enumerate(block_gens):
                 if trial_rates is not None:
                     with tracer.span("workload"):
-                        own_rates = trial_rates(gen)
+                        weights[:, t] = trial_rates(gen)
                 with tracer.span("partition"):
-                    store.add(
-                        sample_replica_groups(balls, params.n, params.d, rng=gen),
-                        own_rates,
-                    )
+                    streams.append(ReplicaGroupStream(balls, params.n, params.d, gen))
             with tracer.span("allocation"):
-                loads = store.greedy()
+                loads = lockstep_greedy(streams, weights)
             vectors.extend(self._vector(row) for row in loads)
         return vectors
 

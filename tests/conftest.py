@@ -26,6 +26,30 @@ def paper_params() -> SystemParameters:
     return SystemParameters(n=1000, m=100_000, c=200, d=3, rate=1e5)
 
 
+class FixedGroups:
+    """A fixed ``(balls, d)`` candidate matrix, read slab by slab the way
+    :func:`repro.ballsbins.allocation.lockstep_greedy` reads a
+    :class:`~repro.ballsbins.allocation.ReplicaGroupStream`."""
+
+    def __init__(self, choices, bins: int) -> None:
+        self.choices = np.asarray(choices, dtype=np.int64)
+        self.balls, self.d = self.choices.shape
+        self.bins = bins
+
+    def slabs(self, size: int):
+        for lo in range(0, self.balls, size):
+            yield self.choices[lo : lo + size]
+
+    def groups(self) -> np.ndarray:
+        return self.choices
+
+
+@pytest.fixture
+def fixed_groups():
+    """The :class:`FixedGroups` class, for hand-written candidate sets."""
+    return FixedGroups
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A fixed-seed generator for deterministic unit tests."""

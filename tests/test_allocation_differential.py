@@ -1,37 +1,54 @@
-"""Property-based differential test: batched d-choice kernel vs the
+"""Property-based differential test: the lockstep d-choice kernel vs the
 sequential reference.
 
-The batched numpy kernel (:func:`repro.ballsbins.allocation._d_choice_batched`)
+The lockstep kernel (:func:`repro.ballsbins.allocation.lockstep_greedy`)
 promises *byte-identical* occupancy vectors to the plain greedy loop —
-including first-candidate tie-breaking — for any candidate matrix.  The
-tests here draw random ``(bins, d, balls, seed)`` configurations (plus
-adversarially collision-heavy ones) and require exact equality; a single
+including first-candidate tie-breaking — for every trial of a block.
+The tests here draw random ``(bins, d, balls, seed)`` configurations
+(plus adversarially collision-heavy ones), place several trials of each
+in one lockstep block and require exact equality per trial; a single
 off-by-one placement fails loudly.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ballsbins.allocation as allocation
 from repro.ballsbins.allocation import (
-    _d_choice_batched,
+    ReplicaGroupStream,
     _d_choice_sequential,
-    d_choice_allocate,
+    lockstep_greedy,
     sample_replica_groups,
 )
+from repro.rng import RngFactory
+
+#: Trials per block: enough that the vectorized step, not the
+#: narrow-block loop, places them.
+TRIALS = allocation._LOCKSTEP_MIN_TRIALS + 1
 
 
-def _assert_identical(choices: np.ndarray, bins: int) -> None:
-    """Both kernels on the same candidate matrix; exact equality."""
-    balls, d = choices.shape
-    sequential = d_choice_allocate(
-        balls, bins, d, choices=choices, method="sequential"
-    )
-    batched = d_choice_allocate(balls, bins, d, choices=choices, method="batched")
-    np.testing.assert_array_equal(batched, sequential)
-    assert batched.dtype == sequential.dtype == np.int64
-    assert int(batched.sum()) == balls
+def _assert_identical(balls: int, bins: int, d: int, seed: int, distinct=True):
+    """One lockstep block vs the loop on each trial's groups."""
+    factory = RngFactory(seed)
+    streams = [
+        ReplicaGroupStream(
+            balls, bins, d, factory.generator("diff", trial=t), distinct=distinct
+        )
+        for t in range(TRIALS)
+    ]
+    loads = lockstep_greedy(streams)
+    for t, row in enumerate(loads):
+        choices = sample_replica_groups(
+            balls, bins, d, rng=factory.generator("diff", trial=t), distinct=distinct
+        )
+        sequential = _d_choice_sequential(choices, bins)
+        np.testing.assert_array_equal(row, sequential)
+        assert row.dtype == sequential.dtype == np.int64
+        assert int(row.sum()) == balls
 
 
 @st.composite
@@ -48,73 +65,50 @@ class TestBatchedMatchesSequential:
     @settings(max_examples=60, deadline=None)
     def test_random_configurations(self, config):
         bins, d, balls, seed = config
-        choices = sample_replica_groups(balls, bins, d, rng=seed)
-        _assert_identical(choices, bins)
+        _assert_identical(balls, bins, d, seed)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=2, max_value=4))
     @settings(max_examples=40, deadline=None)
     def test_collision_heavy_tiny_bin_space(self, seed, d):
-        # Few bins + many balls: almost every ball conflicts with an
-        # earlier one, so the batched kernel's defer-and-retry rounds
-        # and the tie-breaking path carry all the weight.
-        bins = d + 1
-        choices = sample_replica_groups(500, bins, d, rng=seed)
-        _assert_identical(choices, bins)
+        # Few bins + many balls: most replica groups are redrawn, many
+        # in several rounds, and ties between equal loads are common.
+        _assert_identical(500, d + 1, d, seed)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_with_replacement_duplicate_rows(self, seed):
-        # distinct=False allows a ball to list the same bin twice; a
-        # ball must not be blocked by its *own* claim.
-        choices = sample_replica_groups(400, 10, 3, rng=seed, distinct=False)
-        _assert_identical(choices, 10)
+        # distinct=False allows a ball to list the same bin twice.
+        _assert_identical(400, 10, 3, seed, distinct=False)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=1, max_value=64))
     @settings(max_examples=30, deadline=None)
     def test_explicit_tiny_windows(self, seed, window):
-        # Force pathological window sizes (down to one ball per window)
-        # through the kernel directly.
-        choices = sample_replica_groups(300, 24, 3, rng=seed)
-        batched = _d_choice_batched(
-            np.ascontiguousarray(choices), 24, window=window
-        )
-        np.testing.assert_array_equal(batched, _d_choice_sequential(choices, 24))
+        # Pathological slab sizes, down to one ball per slab: every
+        # redrawn row sits next to a slab edge.
+        cells = window * TRIALS * 3
+        with mock.patch.object(allocation, "_LOCKSTEP_SLAB_CELLS", cells):
+            _assert_identical(300, 24, 3, seed)
 
-    def test_worst_case_all_same_candidates(self):
+    def test_worst_case_all_same_candidates(self, fixed_groups):
         # Every ball lists the identical candidate set: pure sequential
-        # dependency, every round places exactly one ball.
+        # dependency, in every trial of the block.
         choices = np.tile(np.array([3, 1, 4], dtype=np.int64), (200, 1))
-        _assert_identical(choices, 6)
+        loads = lockstep_greedy([fixed_groups(choices, 6)] * TRIALS)
         sequential = _d_choice_sequential(choices, 6)
+        for row in loads:
+            np.testing.assert_array_equal(row, sequential)
         # Ties go to the first listed candidate: 3 before 1 before 4.
         assert sequential[3] >= sequential[1] >= sequential[4]
-
-    def test_d2_specialised_reduction(self):
-        # d == 2 takes the strided-view shortcut in the kernel.
-        choices = sample_replica_groups(5000, 40, 2, rng=99)
-        _assert_identical(choices, 40)
 
 
 @pytest.mark.slow
 class TestBatchedMatchesSequentialSlow:
-    """Paper-scale sweeps past the auto-dispatch threshold."""
+    """Larger sweeps: many slabs per trial."""
 
     @given(_configs(max_balls=30_000, min_balls=4096))
     @settings(max_examples=15, deadline=None)
     def test_large_random_configurations(self, config):
         bins, d, balls, seed = config
-        choices = sample_replica_groups(balls, bins, d, rng=seed)
-        _assert_identical(choices, bins)
-
-    def test_auto_dispatch_agrees_both_sides_of_threshold(self):
-        for balls in (4095, 4096, 20_000):
-            for bins, d in ((1000, 3), (24, 3), (16, 2)):
-                choices = sample_replica_groups(balls, bins, d, rng=balls + bins)
-                auto = d_choice_allocate(
-                    balls, bins, d, choices=choices, method="auto"
-                )
-                np.testing.assert_array_equal(
-                    auto, _d_choice_sequential(choices, bins)
-                )
+        _assert_identical(balls, bins, d, seed)

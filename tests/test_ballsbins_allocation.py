@@ -1,18 +1,22 @@
 """Tests for repro.ballsbins.allocation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ballsbins.allocation as allocation
 from repro.ballsbins.allocation import (
-    _d_choice_batched,
+    ReplicaGroupStream,
     _d_choice_sequential,
     d_choice_allocate,
+    lockstep_greedy,
     one_choice_allocate,
-    replica_group_allocate,
     sample_replica_groups,
 )
+from repro.cluster.selection import make_selection_policy
 from repro.exceptions import ConfigurationError
 
 
@@ -113,8 +117,15 @@ class TestDChoice:
         assert (occ >= 0).all()
 
 
+def _lockstep(streams):
+    """Force the vectorized step, whatever the block width."""
+    with mock.patch.object(allocation, "_LOCKSTEP_MIN_TRIALS", 1):
+        return lockstep_greedy(streams)
+
+
 class TestBatchedKernel:
-    """The vectorized kernel must be byte-identical to the reference loop."""
+    """The vectorized (lockstep) kernel must be byte-identical to the
+    reference loop."""
 
     @given(
         bins=st.integers(min_value=1, max_value=40),
@@ -128,49 +139,68 @@ class TestBatchedKernel:
         d = 1 + round(d_frac * (bins - 1))  # hits both d=1 and d=bins
         choices = np.random.default_rng(seed).integers(0, bins, size=(balls, d))
         sequential = _d_choice_sequential(choices, bins)
-        batched = _d_choice_batched(np.ascontiguousarray(choices), bins)
+        stream = ReplicaGroupStream(
+            balls, bins, d, np.random.default_rng(seed), distinct=False
+        )
+        batched = _lockstep([stream])[0]
         assert (sequential == batched).all()
         assert sequential.sum() == balls
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_identity_at_batch_scale(self, d):
-        """Above the auto threshold, where the batched path actually runs."""
-        choices = sample_replica_groups(6000, 64, d, rng=7)
-        sequential = d_choice_allocate(6000, 64, d, choices=choices, method="sequential")
-        batched = d_choice_allocate(6000, 64, d, choices=choices, method="batched")
-        auto = d_choice_allocate(6000, 64, d, choices=choices, method="auto")
-        assert (sequential == batched).all()
-        assert (sequential == auto).all()
+        """Thousands of balls in a block of several trials."""
+        streams = [ReplicaGroupStream(6000, 64, d, rng=7 + t) for t in range(5)]
+        loads = lockstep_greedy(streams)
+        for t, row in enumerate(loads):
+            sequential = d_choice_allocate(6000, 64, d, rng=7 + t)
+            assert (sequential == row).all()
 
     def test_tiny_window_forces_multiple_rounds(self):
-        """window=2 exercises the round carry-over and tail-finish paths."""
-        choices = np.random.default_rng(3).integers(0, 6, size=(300, 3))
-        sequential = _d_choice_sequential(choices, 6)
-        batched = _d_choice_batched(np.ascontiguousarray(choices), 6, window=2)
-        assert (sequential == batched).all()
+        """Two-row slabs over distinct groups in 6 bins: most rows are
+        redrawn, some in several rounds, and every slab edge is crossed."""
+        streams = [ReplicaGroupStream(300, 6, 3, rng=3 + t) for t in range(4)]
+        assert all(stream._index.size > 100 for stream in streams)
+        with mock.patch.object(allocation, "_LOCKSTEP_SLAB_CELLS", 2 * 4 * 3):
+            loads = lockstep_greedy(streams)
+        for t, row in enumerate(loads):
+            choices = sample_replica_groups(300, 6, 3, rng=3 + t)
+            assert (_d_choice_sequential(choices, 6) == row).all()
 
-    def test_duplicate_bins_within_row_not_self_blocking(self):
+    def test_duplicate_bins_within_row_not_self_blocking(self, fixed_groups):
         """A ball listing one bin twice must still place (with replacement)."""
         targets = np.arange(5000) % 197
         choices = np.stack([targets, targets], axis=1)  # both slots same bin
         sequential = _d_choice_sequential(choices, 197)
-        batched = _d_choice_batched(np.ascontiguousarray(choices), 197)
+        batched = _lockstep([fixed_groups(choices, 197)])[0]
         assert (sequential == batched).all()
         assert (sequential == np.bincount(targets, minlength=197)).all()
 
-    def test_method_validation(self):
-        with pytest.raises(ConfigurationError):
-            d_choice_allocate(10, 5, 2, method="vectorised")
+
+#: The rules the replica-group allocator offered, as selection policies.
+_POLICY = {
+    "least-loaded": "least-loaded",
+    "random": "random-pin",
+    "first": "primary",
+    "split": "round-robin",
+}
+
+
+def _allocate(balls, bins, d, rng, selection):
+    """Unit-rate balls on replica groups, placed by a selection policy."""
+    groups = sample_replica_groups(balls, bins, d, rng=rng)
+    policy = make_selection_policy(_POLICY.get(selection, selection))
+    return policy.node_loads(groups, np.ones(balls), bins, rng=rng)
 
 
 class TestReplicaGroupAllocate:
     @pytest.mark.parametrize("selection", ["least-loaded", "random", "first"])
     def test_integer_selections_conserve(self, selection, rng):
-        occ = replica_group_allocate(300, 20, 3, rng=rng, selection=selection)
+        occ = _allocate(300, 20, 3, rng, selection)
         assert occ.sum() == 300
+        assert (occ == np.round(occ)).all()
 
     def test_split_conserves_fractionally(self, rng):
-        occ = replica_group_allocate(300, 20, 3, rng=rng, selection="split")
+        occ = _allocate(300, 20, 3, rng, "split")
         assert occ.sum() == pytest.approx(300.0)
 
     def test_least_loaded_is_best_balanced(self):
@@ -179,10 +209,10 @@ class TestReplicaGroupAllocate:
         # bin) and random picking is worst (std ~ sqrt(M/N)).
         maxima = {}
         for selection in ("least-loaded", "random", "split"):
-            occ = replica_group_allocate(30_000, 100, 3, rng=9, selection=selection)
+            occ = _allocate(30_000, 100, 3, np.random.default_rng(9), selection)
             maxima[selection] = float(np.max(occ))
         assert maxima["least-loaded"] <= maxima["split"] <= maxima["random"]
 
     def test_unknown_selection_rejected(self):
         with pytest.raises(ConfigurationError):
-            replica_group_allocate(10, 5, 2, selection="nope")
+            _allocate(10, 5, 2, 1, "nope")

@@ -34,6 +34,14 @@ class TestRunCampaign:
         assert "full evaluation run" in text
         assert "== fig5" in text
 
+    def test_unseeded_run_prints_a_seed_that_reproduces_it(self):
+        campaign = run_campaign(trials=2, figures=["fig5", "fig3b"])
+        header, tables = campaign.render().split("\n", 2)[1:]
+        seed = int(header.split("seed: ")[1].split(";")[0])
+        assert seed == campaign.seed
+        rerun = run_campaign(trials=2, seed=seed, figures=["fig5", "fig3b"])
+        assert rerun.render().split("\n", 2)[2] == tables
+
     def test_all_drivers_registered(self):
         assert set(FIGURE_DRIVERS) == {"fig3a", "fig3b", "fig4", "fig5"}
 

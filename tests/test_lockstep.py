@@ -3,12 +3,17 @@
 The Monte-Carlo campaigns place a block of trials in lockstep
 (:func:`repro.ballsbins.allocation.lockstep_greedy`): one gather,
 row-wise ``argmin`` and scatter per ball across every trial of the
-block.  The contract is exact: row ``t`` of a block equals
-:meth:`LeastLoadedKeyPinning.node_loads` over trial ``t`` alone, bit for
-bit, and a campaign's reports, metrics exports and monitor records do
-not depend on the worker count or on how trials split into blocks.
+block, with each trial's candidates replayed slab by slab from its
+:class:`~repro.ballsbins.allocation.ReplicaGroupStream`.  The contract
+is exact: row ``t`` of a block equals
+:meth:`LeastLoadedKeyPinning.node_loads` over
+``sample_replica_groups`` of trial ``t`` alone, bit for bit, every
+trial's generator ends in the same state, and a campaign's reports,
+metrics exports and monitor records do not depend on the worker count
+or on where slabs and blocks split.
 """
 
+import copy
 import json
 from functools import partial
 from unittest import mock
@@ -20,12 +25,11 @@ from hypothesis import strategies as st
 
 import repro.ballsbins.allocation as allocation
 from repro.ballsbins.allocation import (
-    LockstepStore,
+    ReplicaGroupStream,
     _duplicate_rows,
     d_choice_allocate,
     lockstep_block_size,
     lockstep_greedy,
-    lockstep_store_dtype,
     sample_replica_groups,
 )
 from repro.ballsbins.occupancy import max_occupancy_trials
@@ -95,32 +99,72 @@ class TestDuplicateCheck:
         assert groups.dtype == np.int64
 
 
-def _block_and_reference(n, d, trials, balls, rate_mode, seed):
-    """A filled store and the per-trial ``node_loads`` of its trials."""
+NUMPY_CONTRACT = (
+    "numpy contract broken: Generator.integers(0, n, size=(k, d)) drawn in "
+    "chunks no longer equals one draw of all rows (values and final "
+    "bit_generator.state).  ReplicaGroupStream relies on it to replay "
+    "replica groups; a failure here would otherwise show up as digest "
+    "drift in every lockstep campaign."
+)
+
+
+class TestChunkedDrawContract:
+    """The numpy behaviour the replica-group stream is built on."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        bins=st.sampled_from([2, 5, 7, 1000, 65_537, 2**31 - 1, 2**32 - 1]),
+        d=st.integers(min_value=1, max_value=4),
+        chunks=st.lists(st.integers(min_value=0, max_value=257), max_size=12),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_chunked_integers_equal_one_draw(self, seed, bins, d, chunks):
+        one = np.random.default_rng(seed)
+        parts = np.random.default_rng(seed)
+        assert isinstance(one.bit_generator, np.random.PCG64)
+        whole = one.integers(0, bins, size=(sum(chunks), d))
+        pieces = [parts.integers(0, bins, size=(k, d)) for k in chunks]
+        joined = np.concatenate(pieces) if pieces else whole
+        assert np.array_equal(joined, whole), NUMPY_CONTRACT
+        assert parts.bit_generator.state == one.bit_generator.state, NUMPY_CONTRACT
+
+    def test_odd_counts_leave_the_same_state(self):
+        # An odd number of 32-bit draws leaves half a 64-bit word
+        # buffered in the bit generator; the next chunk must use it.
+        one = np.random.default_rng(2013)
+        parts = np.random.default_rng(2013)
+        whole = one.integers(0, 1000, size=(1 + 3 + 5, 3))
+        pieces = [parts.integers(0, 1000, size=(k, 3)) for k in (1, 3, 5)]
+        assert np.array_equal(np.concatenate(pieces), whole), NUMPY_CONTRACT
+        assert parts.bit_generator.state == one.bit_generator.state, NUMPY_CONTRACT
+        assert one.bit_generator.state["has_uint32"] == 1
+
+
+def _streams_and_reference(n, d, trials, balls, rate_mode, seed):
+    """Per-trial streams, the block's weights and each trial's
+    ``node_loads``; the streams' generators end where the reference
+    generators do."""
     rng = np.random.default_rng(seed)
     if rate_mode == "zeros":
-        shared = np.zeros(balls)
+        weights = np.zeros(balls)
     elif rate_mode == "ties":
-        shared = rng.integers(1, 3, size=balls).astype(float)
+        weights = rng.integers(1, 3, size=balls).astype(float)
     elif rate_mode == "shared":
-        shared = rng.random(balls) * 10
+        weights = rng.random(balls) * 10
     else:  # "per-trial"
-        shared = None
-    block = LockstepStore(
-        balls, trials, d, n, weights=shared, trial_weights=shared is None
-    )
-    reference = []
-    for _ in range(trials):
-        if d <= n and rng.random() < 0.5:
-            groups = sample_replica_groups(balls, n, d, rng=rng)
-        else:
-            groups = rng.integers(0, n, size=(balls, d))
-        rates = rng.random(balls) * 10 if shared is None else None
-        reference.append(
-            POLICY.node_loads(groups, shared if rates is None else rates, n)
-        )
-        block.add(groups, rates)
-    return block, reference
+        weights = rng.random((balls, trials)) * 10
+    streams, reference = [], []
+    for t in range(trials):
+        # With-replacement rows (distinct=False) may list a bin twice.
+        distinct = bool(rng.random() < 0.5)
+        gen = np.random.default_rng(int(rng.integers(2**63)))
+        twin = copy.deepcopy(gen)
+        streams.append(ReplicaGroupStream(balls, n, d, gen, distinct=distinct))
+        groups = sample_replica_groups(balls, n, d, rng=twin, distinct=distinct)
+        assert gen.bit_generator.state == twin.bit_generator.state
+        own = weights[:, t] if weights.ndim == 2 else weights
+        reference.append(POLICY.node_loads(groups, own, n))
+    return streams, weights, reference
 
 
 def _assert_bit_identical(loads, reference):
@@ -148,112 +192,212 @@ class TestKernelMatchesNodeLoads:
         rate_mode=st.sampled_from(["zeros", "ties", "shared", "per-trial"]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         min_trials=st.sampled_from([1, allocation._LOCKSTEP_MIN_TRIALS]),
+        cells=st.sampled_from([1, 13, allocation._LOCKSTEP_SLAB_CELLS]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_random_blocks(self, n, d, trials, balls, rate_mode, seed, min_trials):
-        block, reference = _block_and_reference(n, d, trials, balls, rate_mode, seed)
-        with mock.patch.object(allocation, "_LOCKSTEP_MIN_TRIALS", min_trials):
-            loads = block.greedy()
+    def test_random_blocks(
+        self, n, d, trials, balls, rate_mode, seed, min_trials, cells
+    ):
+        d = min(d, n)
+        streams, weights, reference = _streams_and_reference(
+            n, d, trials, balls, rate_mode, seed
+        )
+        with mock.patch.multiple(
+            allocation, _LOCKSTEP_MIN_TRIALS=min_trials, _LOCKSTEP_SLAB_CELLS=cells
+        ):
+            loads = lockstep_greedy(streams, weights)
         _assert_bit_identical(loads, reference)
 
     @pytest.mark.parametrize("balls", [0, 1])
     @pytest.mark.parametrize("trials", [1, 3])
     def test_degenerate_ball_counts(self, step, balls, trials):
-        block, reference = _block_and_reference(7, 3, trials, balls, "per-trial", 4)
-        _assert_bit_identical(block.greedy(), reference)
+        streams, weights, reference = _streams_and_reference(
+            7, 3, trials, balls, "per-trial", 4
+        )
+        _assert_bit_identical(lockstep_greedy(streams, weights), reference)
 
-    def test_ties_go_to_the_first_candidate(self, step):
-        block = LockstepStore(4, 1, 3, 5, weights=np.ones(4))
-        block.add(np.tile([3, 1, 4], (4, 1)))
-        loads = block.greedy()[0]
+    def test_ties_go_to_the_first_candidate(self, step, fixed_groups):
+        block = [fixed_groups(np.tile([3, 1, 4], (4, 1)), 5)]
+        loads = lockstep_greedy(block, np.ones(4))[0]
         np.testing.assert_array_equal(loads, [0, 1, 0, 2, 1])
 
     def test_slab_boundaries(self, step):
-        # More balls than one widened slab, so the kernel crosses slabs.
-        balls = allocation._LOCKSTEP_SLAB * 2 + 17
-        block, reference = _block_and_reference(50, 3, 3, balls, "per-trial", 8)
-        _assert_bit_identical(block.greedy(), reference)
+        # Many slabs of a few dozen rows, so the kernel crosses slabs.
+        balls = 3 * 41 * 2 + 17
+        with mock.patch.object(allocation, "_LOCKSTEP_SLAB_CELLS", 41 * 9):
+            streams, weights, reference = _streams_and_reference(
+                50, 3, 3, balls, "per-trial", 8
+            )
+            loads = lockstep_greedy(streams, weights)
+        _assert_bit_identical(loads, reference)
 
-    def test_wide_node_ids_use_a_wider_store(self, step):
+    def test_wide_node_ids_use_a_wider_store(self, step, fixed_groups):
+        # Ids far above the int16 range must survive the intp buffer.
         n = 40_000
-        assert lockstep_store_dtype(n) == np.int32
-        assert lockstep_store_dtype(32_767) == np.int16
         rng = np.random.default_rng(3)
-        block = LockstepStore(500, 2, 3, n, weights=rng.random(500))
-        reference = []
+        weights = rng.random(500)
+        block, reference = [], []
         for _ in range(2):
-            # Ids above the int16 range must survive the compact store.
             groups = rng.integers(32_000, n, size=(500, 3))
-            reference.append(POLICY.node_loads(groups, block.weights, n))
-            block.add(groups)
-        assert block.array.dtype == np.int32
-        _assert_bit_identical(block.greedy(), reference)
+            reference.append(POLICY.node_loads(groups, weights, n))
+            block.append(fixed_groups(groups, n))
+        _assert_bit_identical(lockstep_greedy(block, weights), reference)
 
     def test_unit_weights_match_d_choice_allocate(self, step):
-        rng = np.random.default_rng(11)
-        store = LockstepStore(1000, 4, 3, 64)
-        expected = []
-        for _ in range(4):
-            groups = sample_replica_groups(1000, 64, 3, rng=rng)
-            store.add(groups)
-            expected.append(d_choice_allocate(1000, 64, 3, choices=groups))
-        _assert_bit_identical(store.greedy(), expected)
-        _assert_bit_identical(lockstep_greedy(store.array, 4, 64), expected)
+        factory = RngFactory(11)
+        streams = [
+            ReplicaGroupStream(1000, 64, 3, factory.generator("u", trial=t))
+            for t in range(4)
+        ]
+        expected = [
+            d_choice_allocate(1000, 64, 3, rng=factory.generator("u", trial=t))
+            for t in range(4)
+        ]
+        _assert_bit_identical(lockstep_greedy(streams), expected)
+
+
+def _slab_rows(trials, d):
+    return max(1, allocation._LOCKSTEP_SLAB_CELLS // (trials * d))
+
+
+class TestStreamedBlock:
+    """The streamed block equals per-trial ``node_loads`` over
+    ``sample_replica_groups`` bit for bit, generator states included,
+    around slab edges and in duplicate-heavy shapes."""
+
+    CELLS = 5 * 3 * 8  # 8-row slabs for a 5-trial, d = 3 block
+
+    @pytest.mark.parametrize("rate_mode", ["unit", "shared", "per-trial"])
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_ball_counts_around_slab_edges(self, monkeypatch, rate_mode, edge, k):
+        monkeypatch.setattr(allocation, "_LOCKSTEP_SLAB_CELLS", self.CELLS)
+        balls = k * _slab_rows(5, 3) + edge
+        factory = RngFactory(k * 10 + edge)
+        gens = [factory.generator("edge", trial=t) for t in range(5)]
+        twins = copy.deepcopy(gens)
+        rng = np.random.default_rng(balls)
+        weights = {
+            "unit": None,
+            "shared": rng.random(balls),
+            "per-trial": rng.random((balls, 5)),
+        }[rate_mode]
+        streams = [ReplicaGroupStream(balls, 5, 3, gen) for gen in gens]
+        loads = lockstep_greedy(streams, weights)
+        for t, twin in enumerate(twins):
+            groups = sample_replica_groups(balls, 5, 3, rng=twin)
+            if weights is None:
+                expected = d_choice_allocate(balls, 5, 3, choices=groups)
+            else:
+                own = weights[:, t] if weights.ndim == 2 else weights
+                expected = POLICY.node_loads(groups, own, 5)
+            assert loads[t].tobytes() == expected.tobytes()
+            assert gens[t].bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 1000])
+    def test_slabs_concatenate_to_the_sampled_groups(self, size):
+        # bins = 5, d = 3: about half of the rows are redrawn, in several
+        # rounds, and redrawn rows straddle every slab edge.
+        gen = np.random.default_rng(size)
+        twin = copy.deepcopy(gen)
+        stream = ReplicaGroupStream(600, 5, 3, gen)
+        expected = sample_replica_groups(600, 5, 3, rng=twin)
+        assert stream._index.size > 200
+        slabs = list(stream.slabs(size))
+        assert all(len(slab) == size for slab in slabs[:-1])
+        np.testing.assert_array_equal(np.concatenate(slabs), expected)
+        np.testing.assert_array_equal(stream.groups(), expected)
+        # A stream replays: a second pass yields the same rows.
+        np.testing.assert_array_equal(np.concatenate(list(stream.slabs(size))), expected)
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    def test_duplicates_found_chunk_by_chunk(self, monkeypatch):
+        # Pass 1 walks the draw in chunks of CELLS // d rows.
+        monkeypatch.setattr(allocation, "_LOCKSTEP_SLAB_CELLS", 3 * 17)
+        gen = np.random.default_rng(5)
+        twin = copy.deepcopy(gen)
+        stream = ReplicaGroupStream(1000, 5, 3, gen)
+        np.testing.assert_array_equal(
+            stream.groups(), sample_replica_groups(1000, 5, 3, rng=twin)
+        )
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("trials", range(1, allocation._LOCKSTEP_MIN_TRIALS + 1))
+    def test_blocks_around_the_narrow_cutoff(self, monkeypatch, trials):
+        monkeypatch.setattr(allocation, "_LOCKSTEP_SLAB_CELLS", self.CELLS)
+        streams, weights, reference = _streams_and_reference(
+            5, 3, trials, 77, "per-trial", trials
+        )
+        _assert_bit_identical(lockstep_greedy(streams, weights), reference)
+
+    def test_with_replacement_streams_skip_the_redraw(self):
+        stream = ReplicaGroupStream(500, 5, 3, np.random.default_rng(1), distinct=False)
+        assert stream._index.size == 0
+        np.testing.assert_array_equal(
+            stream.groups(), np.random.default_rng(1).integers(0, 5, size=(500, 3))
+        )
 
 
 class TestStoreValidation:
-    def test_rejects_out_of_range_ids(self):
-        store = LockstepStore(2, 1, 2, 5, weights=np.ones(2))
-        with pytest.raises(ConfigurationError, match=r"\[0, bins\)"):
-            store.add(np.array([[0, 5], [1, 2]]))
-        with pytest.raises(ConfigurationError, match=r"\[0, bins\)"):
-            store.add(np.array([[0, -1], [1, 2]]))
+    """Bad lockstep inputs fail loudly."""
 
     def test_rejects_negative_weights(self):
+        streams = [ReplicaGroupStream(2, 5, 2, rng=t) for t in range(2)]
         with pytest.raises(ConfigurationError, match="non-negative"):
-            LockstepStore(2, 1, 2, 5, weights=np.array([1.0, -1.0]))
-        store = LockstepStore(2, 1, 2, 5, trial_weights=True)
+            lockstep_greedy(streams, np.array([1.0, -1.0]))
         with pytest.raises(ConfigurationError, match="non-negative"):
-            store.add(np.array([[0, 1], [1, 2]]), np.array([1.0, -1.0]))
-        with pytest.raises(ConfigurationError, match="one entry per ball"):
-            store.add(np.array([[0, 1], [1, 2]]), np.ones(3))
+            lockstep_greedy(streams, np.array([[1.0, 1.0], [1.0, -1.0]]))
 
     def test_rejects_wrong_shape_and_overfill(self):
-        store = LockstepStore(2, 1, 2, 5, weights=np.ones(2))
+        streams = [ReplicaGroupStream(2, 5, 2, rng=t) for t in range(2)]
         with pytest.raises(ConfigurationError, match="shape"):
-            store.add(np.array([[0, 1, 2], [1, 2, 3]]))
-        with pytest.raises(ConfigurationError, match="trial_weights"):
-            store.add(np.array([[0, 1], [1, 2]]), np.ones(2))
-        store.add(np.array([[0, 1], [1, 2]]))
-        with pytest.raises(ConfigurationError, match="full"):
-            store.add(np.array([[0, 1], [1, 2]]))
-
-    def test_rejects_shared_and_per_trial_weights(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            LockstepStore(2, 1, 2, 5, weights=np.ones(2), trial_weights=True)
+            lockstep_greedy(streams, np.ones(3))
+        with pytest.raises(ConfigurationError, match="same shape"):
+            lockstep_greedy(streams + [ReplicaGroupStream(3, 5, 2, rng=1)])
+        with pytest.raises(ConfigurationError, match="same shape"):
+            lockstep_greedy(streams + [ReplicaGroupStream(2, 6, 2, rng=1)])
+        # More trials than the per-trial weights cover.
+        with pytest.raises(ConfigurationError, match=r"\(2, 2\)"):
+            lockstep_greedy(streams + streams[:1], np.ones((2, 2)))
 
     def test_partial_block_is_refused(self):
-        store = LockstepStore(2, 2, 2, 5, weights=np.ones(2))
-        store.add(np.array([[0, 1], [1, 2]]))
-        with pytest.raises(ConfigurationError, match="1 of its 2"):
-            store.greedy()
+        # Per-trial weights for two trials, but only one trial's stream.
+        streams = [ReplicaGroupStream(2, 5, 2, rng=1)]
+        with pytest.raises(ConfigurationError, match=r"\(2, 1\)"):
+            lockstep_greedy(streams, np.ones((2, 2)))
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigurationError, match="at least one trial"):
-            LockstepStore(2, 0, 2, 5)
-        with pytest.raises(ConfigurationError, match="at least one trial"):
-            lockstep_greedy(np.zeros((2, 0), dtype=np.int16), 0, 5)
+            lockstep_greedy([])
+        with pytest.raises(ConfigurationError, match="d <= bins"):
+            ReplicaGroupStream(2, 2, 3, rng=1)
 
 
 class TestBlockSize:
     def test_paper_shape_fits_the_budget(self):
-        size = lockstep_block_size(99_900, 1000, 3)
-        assert size == 27
-        assert size * 99_900 * 3 * 2 <= allocation.LOCKSTEP_BUDGET_BYTES
+        # Only per-trial (finite-batch) weights are stored per trial.
+        size = lockstep_block_size(99_900)
+        assert size == 20
+        assert size * 99_900 * 8 <= allocation.LOCKSTEP_BUDGET_BYTES
 
-    def test_per_trial_weights_shrink_the_block(self):
-        assert lockstep_block_size(99_900, 1000, 3, weight_bytes=8) == 11
-        assert lockstep_block_size(10**9, 1000, 3) == 1
+    def test_per_trial_weights_shrink_the_block(self, monkeypatch):
+        assert lockstep_block_size(10**9) == 1
+        # Exact-rate campaigns run their whole range as one block.
+        calls = []
+        real = allocation.lockstep_greedy
+
+        def spy(streams, weights=None):
+            calls.append((len(streams), None if weights is None else weights.ndim))
+            return real(streams, weights)
+
+        monkeypatch.setattr("repro.sim.analytic.lockstep_greedy", spy)
+        monkeypatch.setattr(allocation, "LOCKSTEP_BUDGET_BYTES", 4 * 760 * 8)
+        for exact in (True, False):
+            sim = MonteCarloSimulator(
+                SimulationConfig(params=PARAMS, trials=9, seed=1, exact_rates=exact)
+            )
+            sim.uniform_attack(800)
+        assert calls == [(9, 1), (4, 2), (4, 2), (1, 2)]
 
 
 PARAMS = SystemParameters(n=50, m=3000, c=40, d=3, rate=1e4)
@@ -261,13 +405,16 @@ PARAMS = SystemParameters(n=50, m=3000, c=40, d=3, rate=1e4)
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Shrink the block budget so campaigns split into uneven blocks."""
+    """Shrink the slabs to a few rows, and the weight budget so that
+    per-trial-weight campaigns split into uneven blocks."""
     def use(trials_per_block, balls, weight_bytes=0):
-        per_trial = balls * (3 * 2 + weight_bytes)
-        monkeypatch.setattr(
-            allocation, "LOCKSTEP_BUDGET_BYTES", trials_per_block * per_trial
-        )
-        assert lockstep_block_size(balls, PARAMS.n, 3, weight_bytes) == trials_per_block
+        monkeypatch.setattr(allocation, "_LOCKSTEP_SLAB_CELLS", 64)
+        if weight_bytes:
+            monkeypatch.setattr(
+                allocation, "LOCKSTEP_BUDGET_BYTES",
+                trials_per_block * balls * weight_bytes,
+            )
+            assert lockstep_block_size(balls) == trials_per_block
     return use
 
 
@@ -293,21 +440,24 @@ class TestCampaignBlocks:
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("x", [30, 41, 800])  # x <= c, x = c + 1, x >> c
     def test_uniform_attack_blocks(self, small_blocks, exact, x):
-        # Blocks of 4, 4 and 3 trials: the last one is narrow.
+        # Finite-batch rates: blocks of 4, 4 and 3 trials, the last narrow.
         small_blocks(4, max(1, x - PARAMS.c), weight_bytes=0 if exact else 8)
         sim = MonteCarloSimulator(
             SimulationConfig(params=PARAMS, trials=11, seed=2, exact_rates=exact)
         )
         factory = RngFactory(2)
         gens = [factory.generator("u", trial=t) for t in range(11)]
+        twins = copy.deepcopy(gens)
         _assert_same_vectors(
             sim.uniform_attack_block(x, gens),
-            _per_trial(sim, "uniform_attack_trial", x, 11, 2, "u"),
+            [sim.uniform_attack_trial(x, twin) for twin in twins],
         )
+        for gen, twin in zip(gens, twins):
+            assert gen.bit_generator.state == twin.bit_generator.state
 
     def test_distribution_blocks(self, small_blocks):
         dist = ZipfDistribution(PARAMS.m, 1.01)
-        small_blocks(4, PARAMS.m - PARAMS.c)  # blocks of 4, 4 and 2 trials
+        small_blocks(4, PARAMS.m - PARAMS.c)
         sim = MonteCarloSimulator(SimulationConfig(params=PARAMS, trials=10, seed=6))
         factory = RngFactory(6)
         gens = [factory.generator("z", trial=t) for t in range(10)]
@@ -378,8 +528,8 @@ class TestWorkerIdentity:
         ids=["distribution", "uniform-exact", "uniform-finite-batch"],
     )
     def test_serial_equals_two_workers(self, small_blocks, method, arg, exact, balls):
-        # Serially the 9 trials split 4 + 4 + 1; two workers get 5 and
-        # 4 trials and split them 4 + 1 and 4.
+        # Serially the 9 trials form one block (finite batch: 4 + 4 + 1);
+        # two workers get 5 and 4 trials (finite batch: 4 + 1 and 4).
         small_blocks(4, balls, weight_bytes=0 if exact else 8)
         serial = _campaign(1, method, arg, exact)
         parallel = _campaign(2, method, arg, exact)
@@ -421,10 +571,8 @@ class TestCalibrationLockstep:
     def test_maxima_equal_per_trial_allocations(
         self, monkeypatch, balls, bins, d, trials
     ):
-        # Two-trial blocks: 7 and 5 trials leave a partial last block.
-        monkeypatch.setattr(
-            allocation, "LOCKSTEP_BUDGET_BYTES", max(1, 2 * balls * d * 2)
-        )
+        # Slabs of a few rows, so every trial crosses many slab edges.
+        monkeypatch.setattr(allocation, "_LOCKSTEP_SLAB_CELLS", 5 * trials * d)
         maxima = max_occupancy_trials(balls, bins, d, trials, seed=21)
         factory = RngFactory(21)
         expected = [
