@@ -8,11 +8,14 @@ Two measurements, one artifact (``benchmarks/results/parallel.json``):
   whether the per-trial results are bit-identical to the serial run
   (they must be; the parallel substrate derives the exact same
   ``(seed, label, trial)`` RNG streams).
-- **kernel**: a block of d-choice trials placed one after another by
-  the sequential reference loop vs side by side by the lockstep kernel
-  (each trial's replica groups streamed from its own seed), with
-  byte-identical occupancy required.  The lockstep side is reported
-  under the ``batched_*`` keys.
+- **kernel**: 64 paper-shape d-choice trials placed one after another
+  by the sequential reference loop vs side by side in one lockstep
+  block (each trial's replica groups streamed from its own seed), with
+  byte-identical occupancy required (``lockstep_*`` keys, config
+  ``kernel: lockstep``).  Earlier versions timed one 1M-ball, n = 1024,
+  d = 2 matrix through a round-based kernel that no longer exists
+  (``batched_*`` keys), so ``BENCH_parallel`` trajectory points from
+  before the switch are not comparable with later ones.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks both to a seconds-scale run (written to
 ``parallel_smoke.json`` so the full-scale artifact survives test runs).
@@ -54,6 +57,14 @@ SMOKE_CAMPAIGN = {
 #: Full-scale kernel: 64 trials at the paper's widest attack shape.
 FULL_KERNEL = {"trials": 64, "balls": 99_900, "bins": 1000, "d": 3}
 SMOKE_KERNEL = {"trials": 8, "balls": 10_000, "bins": 200, "d": 3}
+
+#: Least full-scale speedup of the lockstep block over the per-trial
+#: loop.  The block replaces one interpreted inner loop per ball and
+#: trial with one numpy step per ball for all 64 trials; it measured
+#: 7.06x on a 2-CPU x86-64 host under the harness's tracemalloc, so 3x
+#: leaves room for slower hosts while still catching a block that has
+#: fallen back to per-trial work.
+KERNEL_SPEEDUP_FLOOR = 3.0
 
 
 def _profiler_metrics():
@@ -115,16 +126,16 @@ def run_kernel_bench() -> dict:
     sequential_occ, sequential_seconds = timed(
         _sequential_trials, trials, balls, bins, d, _profiler_metrics()
     )
-    batched_occ, batched_seconds = timed(_lockstep_trials, trials, balls, bins, d)
+    lockstep_occ, lockstep_seconds = timed(_lockstep_trials, trials, balls, bins, d)
     placed = trials * balls
     return {
-        "config": {**spec, "seed": SEED},
+        "config": {**spec, "seed": SEED, "kernel": "lockstep"},
         "sequential_seconds": sequential_seconds,
-        "batched_seconds": batched_seconds,
+        "lockstep_seconds": lockstep_seconds,
         "sequential_balls_per_second": placed / sequential_seconds,
-        "batched_balls_per_second": placed / batched_seconds,
-        "speedup": sequential_seconds / batched_seconds,
-        "identical_occupancy": bool((batched_occ == sequential_occ).all()),
+        "lockstep_balls_per_second": placed / lockstep_seconds,
+        "speedup": sequential_seconds / lockstep_seconds,
+        "identical_occupancy": bool((lockstep_occ == sequential_occ).all()),
     }
 
 
@@ -160,8 +171,8 @@ def _render(payload: dict) -> str:
         f"balls={kernel['config']['balls']}):",
         f"sequential {kernel['sequential_seconds']:.3f}s "
         f"({kernel['sequential_balls_per_second']:.2e} balls/s), "
-        f"lockstep {kernel['batched_seconds']:.3f}s "
-        f"({kernel['batched_balls_per_second']:.2e} balls/s), "
+        f"lockstep {kernel['lockstep_seconds']:.3f}s "
+        f"({kernel['lockstep_balls_per_second']:.2e} balls/s), "
         f"speedup {kernel['speedup']:.2f}x, "
         f"identical: {kernel['identical_occupancy']}",
     ]
@@ -175,7 +186,7 @@ def _check(payload: dict) -> None:
     if not payload["smoke"]:
         # Throughput claims need the full-scale workload (and, for the
         # campaign, actual cores) to be meaningful.
-        assert payload["kernel"]["speedup"] >= 3.0
+        assert payload["kernel"]["speedup"] >= KERNEL_SPEEDUP_FLOOR
         cpus = payload["cpu_count"] or 1
         for row in payload["campaign"]["results"]:
             if row["workers"] > 1 and cpus >= row["workers"]:
@@ -203,7 +214,7 @@ def bench_parallel(benchmark):
     payload = result.payload
     # Scaling assertions from the original pytest-only path (full scale).
     if not payload["smoke"]:
-        assert payload["kernel"]["speedup"] >= 3.0
+        assert payload["kernel"]["speedup"] >= KERNEL_SPEEDUP_FLOOR
 
 
 if __name__ == "__main__":

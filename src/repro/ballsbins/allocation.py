@@ -205,28 +205,21 @@ class ReplicaGroupStream:
     """One trial's replica groups, drawn once and replayed slab by slab.
 
     Construction consumes ``rng`` exactly as
-    :func:`sample_replica_groups` does with the same arguments: the
-    ``(balls, d)`` draw is walked in chunks to find the rows that list
-    some bin twice, and only those rows are redrawn.  The stream keeps
-    a copy of the generator's starting state and the redrawn rows
-    (about 0.3 % of the rows at paper shape, ``n = 1000, d = 3``), not
-    the matrix.  :meth:`slabs` regenerates the rows from the copy and
-    patches the redrawn ones in, so the slabs concatenate to what
-    :func:`sample_replica_groups` returns.
+    :func:`sample_replica_groups` does with the same arguments (rows of
+    ``d`` distinct bins): the ``(balls, d)`` draw is walked in chunks to
+    find the rows that list some bin twice, and only those are redrawn.
+    The stream keeps a copy of the generator's starting state and the
+    redrawn rows (about 0.3 % of the rows at paper shape, ``n = 1000,
+    d = 3``), not the matrix.  :meth:`slabs` regenerates the rows from
+    the copy and patches the redrawn ones in, so the slabs concatenate
+    to what :func:`sample_replica_groups` returns.
 
     Both rely on numpy's contract that ``integers(0, bins, size=(k, d))``
     in chunks yields the same values, and leaves the generator in the
     same state, as one draw of all the rows (``bins < 2**32``).
     """
 
-    def __init__(
-        self,
-        balls: int,
-        bins: int,
-        d: int,
-        rng: RngLike = None,
-        distinct: bool = True,
-    ) -> None:
+    def __init__(self, balls: int, bins: int, d: int, rng: RngLike = None) -> None:
         _check(balls, bins, d)
         gen = as_generator(rng, "replica-groups")
         self.balls, self.bins, self.d = balls, bins, d
@@ -235,8 +228,7 @@ class ReplicaGroupStream:
         found = [np.zeros(0, dtype=np.intp)]
         for lo in range(0, balls, chunk):
             rows = gen.integers(0, bins, size=(min(chunk, balls - lo), d))
-            if distinct and d > 1:
-                found.append(np.flatnonzero(_duplicate_rows(rows)) + lo)
+            found.append(np.flatnonzero(_duplicate_rows(rows)) + lo)
         self._index = np.concatenate(found)
         self._rows = np.zeros((0, d), dtype=np.int64)
         if self._index.size:

@@ -44,7 +44,7 @@ class FixedGroups:
         return self.choices
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def fixed_groups():
     """The :class:`FixedGroups` class, for hand-written candidate sets."""
     return FixedGroups

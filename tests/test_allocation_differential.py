@@ -31,19 +31,17 @@ from repro.rng import RngFactory
 TRIALS = allocation._LOCKSTEP_MIN_TRIALS + 1
 
 
-def _assert_identical(balls: int, bins: int, d: int, seed: int, distinct=True):
+def _assert_identical(balls: int, bins: int, d: int, seed: int):
     """One lockstep block vs the loop on each trial's groups."""
     factory = RngFactory(seed)
     streams = [
-        ReplicaGroupStream(
-            balls, bins, d, factory.generator("diff", trial=t), distinct=distinct
-        )
+        ReplicaGroupStream(balls, bins, d, factory.generator("diff", trial=t))
         for t in range(TRIALS)
     ]
     loads = lockstep_greedy(streams)
     for t, row in enumerate(loads):
         choices = sample_replica_groups(
-            balls, bins, d, rng=factory.generator("diff", trial=t), distinct=distinct
+            balls, bins, d, rng=factory.generator("diff", trial=t)
         )
         sequential = _d_choice_sequential(choices, bins)
         np.testing.assert_array_equal(row, sequential)
@@ -77,9 +75,13 @@ class TestBatchedMatchesSequential:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_with_replacement_duplicate_rows(self, seed):
-        # distinct=False allows a ball to list the same bin twice.
-        _assert_identical(400, 10, 3, seed, distinct=False)
+    def test_with_replacement_duplicate_rows(self, fixed_groups, seed):
+        # With-replacement rows may list the same bin twice.
+        rng = np.random.default_rng(seed)
+        block = [rng.integers(0, 10, size=(400, 3)) for _ in range(TRIALS)]
+        loads = lockstep_greedy([fixed_groups(choices, 10) for choices in block])
+        for row, choices in zip(loads, block):
+            np.testing.assert_array_equal(row, _d_choice_sequential(choices, 10))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=1, max_value=64))

@@ -134,15 +134,14 @@ class TestBatchedKernel:
         d_frac=st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batched_equals_sequential(self, bins, balls, seed, d_frac):
+    def test_batched_equals_sequential(
+        self, bins, balls, seed, d_frac, fixed_groups
+    ):
         """Identity over the whole (bins, d, balls) space, d=1..bins."""
         d = 1 + round(d_frac * (bins - 1))  # hits both d=1 and d=bins
         choices = np.random.default_rng(seed).integers(0, bins, size=(balls, d))
         sequential = _d_choice_sequential(choices, bins)
-        stream = ReplicaGroupStream(
-            balls, bins, d, np.random.default_rng(seed), distinct=False
-        )
-        batched = _lockstep([stream])[0]
+        batched = _lockstep([fixed_groups(choices, bins)])[0]
         assert (sequential == batched).all()
         assert sequential.sum() == balls
 

@@ -69,7 +69,7 @@ def test_bench_invariants_hold(smoke_payload):
             assert row["wall_seconds"] > 0
             assert row["trials_per_second"] > 0
         assert payload["kernel"]["sequential_seconds"] > 0
-        assert payload["kernel"]["batched_seconds"] > 0
+        assert payload["kernel"]["lockstep_seconds"] > 0
     elif script == "bench_eventsim":
         assert payload["engines_agree"] is True
         assert payload["wall_seconds"] > 0

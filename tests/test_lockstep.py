@@ -140,10 +140,11 @@ class TestChunkedDrawContract:
         assert one.bit_generator.state["has_uint32"] == 1
 
 
-def _streams_and_reference(n, d, trials, balls, rate_mode, seed):
+def _streams_and_reference(n, d, trials, balls, rate_mode, seed, fixed_groups):
     """Per-trial streams, the block's weights and each trial's
     ``node_loads``; the streams' generators end where the reference
-    generators do."""
+    generators do.  About half of the trials read fixed with-replacement
+    rows instead, which may list a bin twice."""
     rng = np.random.default_rng(seed)
     if rate_mode == "zeros":
         weights = np.zeros(balls)
@@ -155,13 +156,16 @@ def _streams_and_reference(n, d, trials, balls, rate_mode, seed):
         weights = rng.random((balls, trials)) * 10
     streams, reference = [], []
     for t in range(trials):
-        # With-replacement rows (distinct=False) may list a bin twice.
-        distinct = bool(rng.random() < 0.5)
+        with_replacement = bool(rng.random() < 0.5)
         gen = np.random.default_rng(int(rng.integers(2**63)))
-        twin = copy.deepcopy(gen)
-        streams.append(ReplicaGroupStream(balls, n, d, gen, distinct=distinct))
-        groups = sample_replica_groups(balls, n, d, rng=twin, distinct=distinct)
-        assert gen.bit_generator.state == twin.bit_generator.state
+        if with_replacement:
+            groups = gen.integers(0, n, size=(balls, d))
+            streams.append(fixed_groups(groups, n))
+        else:
+            twin = copy.deepcopy(gen)
+            streams.append(ReplicaGroupStream(balls, n, d, gen))
+            groups = sample_replica_groups(balls, n, d, rng=twin)
+            assert gen.bit_generator.state == twin.bit_generator.state
         own = weights[:, t] if weights.ndim == 2 else weights
         reference.append(POLICY.node_loads(groups, own, n))
     return streams, weights, reference
@@ -196,11 +200,11 @@ class TestKernelMatchesNodeLoads:
     )
     @settings(max_examples=100, deadline=None)
     def test_random_blocks(
-        self, n, d, trials, balls, rate_mode, seed, min_trials, cells
+        self, n, d, trials, balls, rate_mode, seed, min_trials, cells, fixed_groups
     ):
         d = min(d, n)
         streams, weights, reference = _streams_and_reference(
-            n, d, trials, balls, rate_mode, seed
+            n, d, trials, balls, rate_mode, seed, fixed_groups
         )
         with mock.patch.multiple(
             allocation, _LOCKSTEP_MIN_TRIALS=min_trials, _LOCKSTEP_SLAB_CELLS=cells
@@ -210,9 +214,9 @@ class TestKernelMatchesNodeLoads:
 
     @pytest.mark.parametrize("balls", [0, 1])
     @pytest.mark.parametrize("trials", [1, 3])
-    def test_degenerate_ball_counts(self, step, balls, trials):
+    def test_degenerate_ball_counts(self, step, balls, trials, fixed_groups):
         streams, weights, reference = _streams_and_reference(
-            7, 3, trials, balls, "per-trial", 4
+            7, 3, trials, balls, "per-trial", 4, fixed_groups
         )
         _assert_bit_identical(lockstep_greedy(streams, weights), reference)
 
@@ -221,12 +225,12 @@ class TestKernelMatchesNodeLoads:
         loads = lockstep_greedy(block, np.ones(4))[0]
         np.testing.assert_array_equal(loads, [0, 1, 0, 2, 1])
 
-    def test_slab_boundaries(self, step):
+    def test_slab_boundaries(self, step, fixed_groups):
         # Many slabs of a few dozen rows, so the kernel crosses slabs.
         balls = 3 * 41 * 2 + 17
         with mock.patch.object(allocation, "_LOCKSTEP_SLAB_CELLS", 41 * 9):
             streams, weights, reference = _streams_and_reference(
-                50, 3, 3, balls, "per-trial", 8
+                50, 3, 3, balls, "per-trial", 8, fixed_groups
             )
             loads = lockstep_greedy(streams, weights)
         _assert_bit_identical(loads, reference)
@@ -323,19 +327,12 @@ class TestStreamedBlock:
         assert gen.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("trials", range(1, allocation._LOCKSTEP_MIN_TRIALS + 1))
-    def test_blocks_around_the_narrow_cutoff(self, monkeypatch, trials):
+    def test_blocks_around_the_narrow_cutoff(self, monkeypatch, trials, fixed_groups):
         monkeypatch.setattr(allocation, "_LOCKSTEP_SLAB_CELLS", self.CELLS)
         streams, weights, reference = _streams_and_reference(
-            5, 3, trials, 77, "per-trial", trials
+            5, 3, trials, 77, "per-trial", trials, fixed_groups
         )
         _assert_bit_identical(lockstep_greedy(streams, weights), reference)
-
-    def test_with_replacement_streams_skip_the_redraw(self):
-        stream = ReplicaGroupStream(500, 5, 3, np.random.default_rng(1), distinct=False)
-        assert stream._index.size == 0
-        np.testing.assert_array_equal(
-            stream.groups(), np.random.default_rng(1).integers(0, 5, size=(500, 3))
-        )
 
 
 class TestStoreValidation:

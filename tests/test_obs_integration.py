@@ -246,7 +246,7 @@ class TestSubstrateInstrumentation:
             if name == "alloc_calls_total"
         }
         assert "one-choice" in kernels
-        assert kernels & {"batched", "sequential"}  # d-choice resolved a kernel
+        assert "sequential" in kernels  # every d >= 2 call runs the loop
         # Same seed with and without a registry allocates identically.
         assert (
             d_choice_allocate(500, 20, d=2, rng=1)
